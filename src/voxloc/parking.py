@@ -7,19 +7,24 @@ and Vacant by counting the car points that fall inside its box.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError
+from .voxel import _group_points
 
 CONTAINMENT_SLACK = 1e-9  # absolute slack on box boundaries, in meters
+_CELL_MARGIN = 1.0 - 1e-6  # keeps a cell's diagonal below distance despite rounding
+_BRUTE_CHUNK = 1 << 20  # point pairs compared at once when two cells are compared in full
+# the cell offsets after (0, 0, 0) in row-wise order: one side of the 5x5x5 stencil
+_HALF_STENCIL = [d for d in itertools.product(range(-2, 3), repeat=3) if d > (0, 0, 0)]
 
 
 class OccupancyState(Enum):
@@ -56,8 +61,21 @@ def extract_class(cloud: PointCloud, class_id: int) -> PointCloud:
 def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> list[Cluster]:
     """Connected components of the <=distance neighbor graph.
 
-    Components smaller than min_points are discarded. Clusters are ordered by
-    their smallest contained index; indices within a cluster are sorted.
+    Two points are neighbors when the sum of their squared coordinate
+    differences is at most distance**2, boundary included. Components smaller
+    than min_points are discarded. Clusters are ordered by their smallest
+    contained index; indices within a cluster are sorted.
+
+    The graph is built on cells, by the exact grid method for DBSCAN with
+    minPts = 1 (Gan & Tao, "DBSCAN revisited", SIGMOD 2015). The points are
+    bucketed into cubes of edge a hair under distance/sqrt(3). A cube's
+    diagonal is then shorter than distance, so all points of one cell are
+    connected. Two neighbors lie at most two cells apart along each axis, so
+    the 5x5x5 stencil around a cell holds every neighbor of its points. Two
+    cells of one stencil are joined when their closest pair is within
+    distance: one representative pair is tried first, and both point sets are
+    compared in full only when it fails and the cells are not yet connected.
+    The clusters are therefore exactly those of a point-by-point search.
     """
     if not distance > 0:
         raise ValueError("distance must be strictly positive")
@@ -67,27 +85,102 @@ def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> li
     n = len(pts)
     if n == 0:
         return []
-    tree = cKDTree(pts)
-    visited = np.zeros(n, bool)
-    clusters = []
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        component = [seed]
-        frontier = [seed]
-        while frontier:
-            neighbor_lists = tree.query_ball_point(pts[frontier], distance)
-            frontier = []
-            for neighbors in neighbor_lists:
-                for j in neighbors:
-                    if not visited[j]:
-                        visited[j] = True
-                        component.append(j)
-                        frontier.append(j)
-        if len(component) >= min_points:
-            clusters.append(Cluster(np.sort(np.array(component, dtype=np.int64))))
-    return clusters
+    limit = distance * distance
+    # Cells are keyed on coordinates relative to the cloud's corner, so the
+    # rounding of the keys scales with the cloud's extent, not its position;
+    # _CELL_MARGIN covers that rounding for extents up to about 1e9 cells.
+    keys, counts, _, inverse = _group_points(
+        pts - pts.min(axis=0), distance / np.sqrt(3.0) * _CELL_MARGIN
+    )
+    order = np.argsort(inverse, kind="stable")
+    sorted_pts = pts[order]
+    starts = np.cumsum(counts) - counts
+
+    first, second = _stencil_pairs(keys)
+    joined = _squared_gap(sorted_pts[starts[first]], sorted_pts[starts[second]]) <= limit
+    labels = _components(len(keys), first[joined], second[joined])
+    todo = ~joined & (labels[first] != labels[second])
+    found = _any_pair_within(sorted_pts, starts, counts, first[todo], second[todo], limit)
+    labels = _components(
+        len(keys),
+        np.concatenate([first[joined], first[todo][found]]),
+        np.concatenate([second[joined], second[todo][found]]),
+    )
+
+    point_labels = labels[inverse]
+    members = np.argsort(point_labels, kind="stable")  # ascending index per label
+    sizes = np.bincount(point_labels)
+    bounds = np.cumsum(sizes)
+    groups = np.split(members, bounds[:-1])
+    smallest = members[bounds - sizes]
+    return [
+        Cluster(groups[label])
+        for label in np.argsort(smallest, kind="stable")
+        if sizes[label] >= min_points
+    ]
+
+
+def _stencil_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b), a < b, of the occupied cells at most two apart per axis.
+
+    keys are sorted row-wise. They are packed into single integers with two
+    cells of padding per axis, so a stencil offset is one added constant.
+    """
+    lo = keys.min(axis=0)
+    spans = [int(v) + 5 for v in keys.max(axis=0) - lo]
+    dtype = np.int64 if float(spans[0]) * spans[1] * spans[2] < 2**62 else object
+    shifted = (keys - lo + 2).astype(dtype)
+    packed = (shifted[:, 0] * spans[1] + shifted[:, 1]) * spans[2] + shifted[:, 2]
+    first, second = [], []
+    for dx, dy, dz in _HALF_STENCIL:
+        target = packed + ((dx * spans[1] + dy) * spans[2] + dz)
+        pos = np.minimum(np.searchsorted(packed, target), len(packed) - 1)
+        hit = np.flatnonzero(packed[pos] == target)
+        first.append(hit)
+        second.append(pos[hit])
+    return np.concatenate(first), np.concatenate(second)
+
+
+def _squared_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise squared distance, summed in the order cKDTree sums it."""
+    d = a - b
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+
+def _any_pair_within(
+    sorted_pts: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    first: np.ndarray,
+    second: np.ndarray,
+    limit: float,
+) -> np.ndarray:
+    """Per cell pair, whether any point of one lies within sqrt(limit) of the other."""
+    found = np.zeros(len(first), dtype=bool)
+    work = counts[first] * counts[second]
+    ends = np.cumsum(work)
+    lo = 0
+    while lo < len(first):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - work[lo] + _BRUTE_CHUNK)))
+        size = work[lo:hi]
+        pair = np.repeat(np.arange(lo, hi), size)
+        within = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+        across = counts[second[pair]]
+        i = starts[first[pair]] + within // across
+        j = starts[second[pair]] + within % across
+        close = _squared_gap(sorted_pts[i], sorted_pts[j]) <= limit
+        found[pair[close]] = True
+        lo = hi
+    return found
+
+
+def _components(count: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Component label of each of count nodes joined by the edges (first, second)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    edges = coo_matrix((np.ones(len(first), np.int8), (first, second)), shape=(count, count))
+    return connected_components(edges, directed=False)[1]
 
 
 def _rot2(yaw: float) -> tuple[float, float]:

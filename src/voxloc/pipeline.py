@@ -229,13 +229,14 @@ def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointClo
     index = SpatialIndex(means)
     anchor_radius = min(_ANCHOR_SCALE * config.fpfh_radius, _ANCHOR_RADIUS_CAP)
     pairs, _ = index.pairs_within(anchor_radius)
-    sums = means.copy()
-    counts = np.ones(len(means))
-    np.add.at(sums, pairs[:, 0], means[pairs[:, 1]])
-    np.add.at(sums, pairs[:, 1], means[pairs[:, 0]])
-    np.add.at(counts, pairs[:, 0], 1.0)
-    np.add.at(counts, pairs[:, 1], 1.0)
-    anchors = sums / counts[:, None]
+    # each cell's own mean, then its pair partners; bincount adds in this order
+    cells = np.arange(len(means))
+    owner = np.concatenate([cells, pairs[:, 0], pairs[:, 1]])
+    member = np.concatenate([cells, pairs[:, 1], pairs[:, 0]])
+    sums = np.column_stack(
+        [np.bincount(owner, weights=means[member, a], minlength=len(means)) for a in range(3)]
+    )
+    anchors = sums / np.bincount(owner, minlength=len(means))[:, None]
     coarse.compute_normals(viewpoint=anchors)
     mask = coarse.has_normal.copy()
     # keep only strongly planar cells: cells straddling surface edges have
@@ -351,7 +352,9 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 
         spaces: list[ParkingSpace] = []
         if reference.labels is not None:
+            stage = "parking"
             spaces = spaces_from_reference(reference, config)
+            stage = "write"
             artifacts["spaces"] = _target("spaces.json")
             save_spaces(artifacts["spaces"], spaces)
 

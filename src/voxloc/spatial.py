@@ -116,7 +116,7 @@ class SpatialIndex:
         if self.count == 0:
             return np.full(len(pts), -1, np.int64), np.full(len(pts), np.inf)
         bound = np.inf if max_distance is None else float(max_distance)
-        dist, idx = self._tree.query(pts, k=1, distance_upper_bound=bound)
+        dist, idx = self._tree.query(pts, k=1, distance_upper_bound=bound, workers=-1)
         idx = idx.astype(np.int64)
         idx[~np.isfinite(dist)] = -1
         return idx, dist

@@ -2,8 +2,12 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
@@ -44,6 +48,59 @@ def _components_by_union_find(points, distance):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return {frozenset(members) for members in groups.values()}
+
+
+def _clusters_by_bfs(points, distance, min_points):
+    """Reference clustering: breadth-first search over k-d tree ball queries.
+
+    cKDTree compares each sum of squared differences against distance**2, the
+    comparison euclidean_cluster must reproduce exactly.
+    """
+    n = len(points)
+    if n == 0:
+        return []
+    tree = cKDTree(points)
+    visited = np.zeros(n, bool)
+    clusters = []
+    for seed in range(n):
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        component = [seed]
+        frontier = [seed]
+        while frontier:
+            neighbor_lists = tree.query_ball_point(points[frontier], distance)
+            frontier = []
+            for neighbors in neighbor_lists:
+                for j in neighbors:
+                    if not visited[j]:
+                        visited[j] = True
+                        component.append(j)
+                        frontier.append(j)
+        if len(component) >= min_points:
+            clusters.append(np.sort(np.array(component, dtype=np.int64)))
+    return clusters
+
+
+_UTM_OFFSET = np.array([5e5, 5e6, 300.0])
+
+
+@st.composite
+def _cluster_cases(draw):
+    """(points, distance, min_points): random clouds or lattices spaced exactly
+    distance apart, with duplicated points, near the origin or at a UTM-sized offset."""
+    distance = draw(st.sampled_from([0.05, 0.3, 0.5, 1.0, 2.5]))
+    shape = st.tuples(st.integers(1, 60), st.just(3))
+    if draw(st.booleans()):
+        points = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 4))) * distance
+    else:
+        unit = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 4.0)))
+        points = unit * distance
+    copies = draw(st.lists(st.integers(0, len(points) - 1), max_size=10))
+    points = np.vstack([points, points[copies]])
+    if draw(st.booleans()):
+        points = points + _UTM_OFFSET
+    return points, distance, draw(st.integers(1, 5))
 
 
 def _count_inside_brute(box, points):
@@ -104,6 +161,31 @@ class TestEuclideanCluster:
         clusters = euclidean_cluster(PointCloud(points), distance, 1)
         got = {frozenset(c.indices.tolist()) for c in clusters}
         assert got == _components_by_union_find(points, distance)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_cluster_cases())
+    def test_matches_point_by_point_search(self, case):
+        points, distance, min_points = case
+        got = euclidean_cluster(PointCloud(points), distance, min_points)
+        want = _clusters_by_bfs(points, distance, min_points)
+        assert len(got) == len(want)
+        for cluster, indices in zip(got, want):
+            assert cluster.indices.dtype == np.int64
+            assert np.array_equal(cluster.indices, indices)
+
+    def test_boundary_is_inclusive(self):
+        points = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.3, 0.3, 0.0]])
+        clusters = euclidean_cluster(PointCloud(points), 0.3, 1)
+        assert [c.indices.tolist() for c in clusters] == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("offset", [np.zeros(3), _UTM_OFFSET])
+    def test_diagonal_just_beyond_distance_stays_apart(self, offset):
+        # the two points span one cube of edge just over distance/sqrt(3)
+        distance = 0.5
+        corner = distance / math.sqrt(3.0) * (1.0 + 1e-7)
+        points = np.array([[0.0, 0.0, 0.0], [corner] * 3]) + offset
+        clusters = euclidean_cluster(PointCloud(points), distance, 1)
+        assert [c.indices.tolist() for c in clusters] == [[0], [1]]
 
     def test_clusters_ordered_by_smallest_index(self, rng):
         points = rng.uniform(0.0, 8.0, size=(150, 3))

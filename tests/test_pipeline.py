@@ -291,6 +291,32 @@ class TestRunPipeline:
         assert result.status.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    def test_parking_failure_names_its_stage(self, dataset, tmp_path):
+        # every car point on one vertical line: the only cluster has no
+        # planar spread, so fitting its box raises DegenerateGeometryError
+        reference = read_ply(dataset["reference"])
+        column = np.zeros((40, 3))
+        column[:, :2] = reference.points[:, :2].mean(axis=0)
+        column[:, 2] = np.linspace(0.0, 1.95, 40)
+        labels = np.zeros(len(reference) + len(column), dtype=np.int64)
+        labels[len(reference):] = PipelineConfig().car_label
+        degenerate = tmp_path / "degenerate.ply"
+        write_ply(degenerate, PointCloud(np.vstack([reference.points, column]), labels=labels))
+        scan_dir = tmp_path / "scans"
+        scan_dir.mkdir()
+        shutil.copy(list_scan_files(dataset["scans"])[0], scan_dir)
+        run = PipelineRun(
+            config=PipelineConfig(),
+            reference_path=degenerate,
+            scan_dir=scan_dir,
+            out_dir=tmp_path / "out",
+            seed=0,
+        )
+        result = run_pipeline(run)
+        assert result.status == "error:parking"
+        assert result.exit_code == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestConfigHash:
     def test_stable_for_equal_configs(self):
