@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Each pipeline stage is exposed as its own subcommand so runs can be chained
-through intermediate files, plus `pipeline` for the whole thing in one go.
-Exit codes: 0 success, 1 stage failure, 2 input error (missing, unreadable,
-or inconsistent inputs).
+`pipeline` runs the whole localization in one go. `odometry`, `coarse` and
+`fine` run its stages one at a time, chained through intermediate files; they
+call the same stage functions as `pipeline` and write byte-identical files.
+`parking`, `eval`, `export-scene` and `synth` cover occupancy updates, pose
+scoring, the coarse-grid scene (with optional parking boxes) and synthetic
+data. Exit codes: 0 success, 1 stage failure, 2 input error (missing,
+unreadable, or inconsistent inputs).
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from .pipeline import (
     EXIT_INPUT_ERROR,
     EXIT_STAGE_ERROR,
     PipelineRun,
-    coarse_features,
+    coarse_align,
     export_scene,
     list_scan_files,
+    refine_scans,
     run_pipeline,
     two_level_grids,
     write_synthetic_dataset,
 )
-from .registration import icp_point_to_plane, ransac_coarse
 from .synthetic import SceneSpec
 from .transform import Trajectory
 
@@ -99,18 +102,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_voxelize(args) -> int:
-    config = _resolve_config(args)
-    cloud = _load_cloud(args.reference)
-    fine, coarse = two_level_grids(cloud, config)
-    out = _out_dir(args) / "voxels.json"
-    export_scene(coarse, [], out)
-    print(f"fine cells: {len(fine)}")
-    print(f"coarse cells: {len(coarse)}")
-    print(f"scene: {out}")
-    return 0
-
-
 def _cmd_odometry(args) -> int:
     config = _resolve_config(args)
     scans = _load_scans(args.scans)
@@ -129,10 +120,7 @@ def _cmd_coarse(args) -> int:
     reference = _load_cloud(args.reference)
     combined = _load_cloud(args.combined)
     _, reference_coarse = two_level_grids(reference, config)
-    target_cloud, target_desc = coarse_features(reference_coarse, config)
-    _, combined_coarse = two_level_grids(combined, config)
-    source_cloud, source_desc = coarse_features(combined_coarse, config)
-    result = ransac_coarse(source_cloud, target_cloud, source_desc, target_desc, config, args.seed)
+    result = coarse_align(reference_coarse, combined, config, args.seed)
     out = _out_dir(args) / "coarse_transform.txt"
     write_poses(out, Trajectory([result.transform]))
     print(f"fitness: {result.fitness:.6f}")
@@ -152,16 +140,12 @@ def _cmd_fine(args) -> int:
         raise _InputError(f"{len(odometry_poses)} poses for {len(scans)} scans")
     if len(coarse_list) != 1:
         raise _InputError("coarse transform file must hold exactly one pose")
-    coarse_transform = coarse_list[0]
     fine_grid, _ = two_level_grids(reference, config)
     fine_grid.compute_normals()
-    refined = []
-    for scan, pose in zip(scans, odometry_poses):
-        result = icp_point_to_plane(scan, fine_grid, coarse_transform @ pose, config)
-        refined.append(result.transform)
+    results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
     out = _out_dir(args) / "refined_poses.txt"
-    write_poses(out, Trajectory(refined))
-    print(f"refined {len(refined)} poses")
+    write_poses(out, Trajectory([result.transform for result in results]))
+    print(f"refined {len(results)} poses")
     print(f"poses: {out}")
     return 0
 
@@ -274,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--street-length", type=float, default=40.0)
     p.add_argument("--surface-density", type=float, default=400.0)
     p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("voxelize", help="voxelize a cloud and export its coarse grid")
-    _add_common(p)
-    p.add_argument("--reference", required=True, help="input PLY cloud")
-    p.set_defaults(func=_cmd_voxelize)
 
     p = sub.add_parser("odometry", help="combine a scan directory into one cloud")
     _add_common(p)

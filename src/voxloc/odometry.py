@@ -15,6 +15,7 @@ import numpy as np
 from .cloud import PointCloud, concat_clouds
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError, InsufficientOverlapError
+from .registration import estimate_rigid
 from .spatial import SpatialIndex
 from .transform import RigidTransform, Trajectory, orthonormalize_rotation, rotation_log
 from .voxel import VoxelGrid, downsample, voxelize
@@ -62,21 +63,6 @@ def _huber_weights(dist: np.ndarray, scale: float) -> np.ndarray:
     return w
 
 
-def _weighted_rigid(p: np.ndarray, q: np.ndarray, weights: np.ndarray) -> RigidTransform:
-    wsum = weights.sum()
-    cp = (weights[:, None] * p).sum(axis=0) / wsum
-    cq = (weights[:, None] * q).sum(axis=0) / wsum
-    h = (weights[:, None] * (p - cp)).T @ (q - cq)
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] < 1e-12 * s[0]:
-        raise DegenerateGeometryError("correspondences are degenerate")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
-    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(rotation, cq - rotation @ cp)
-
-
 def _register_to_map(
     points: np.ndarray,
     target: SpatialIndex,
@@ -96,7 +82,7 @@ def _register_to_map(
                 f"only {int(found.sum())} map correspondences within {threshold:.3g} m"
             )
         weights = _huber_weights(dist[found], huber_scale)
-        step = _weighted_rigid(moved[found], target.points[idx[found]], weights)
+        step = estimate_rigid(moved[found], target.points[idx[found]], weights)
         transform = step @ transform
         update = np.concatenate([rotation_log(step.rotation), step.translation])
         if float(np.linalg.norm(update)) < config.icp_convergence_eps:
@@ -154,7 +140,6 @@ def combine_scans(
     config: PipelineConfig,
     *,
     registration_voxel_size: float | None = None,
-    default_threshold: float = DEFAULT_THRESHOLD,
     state: OdometryState | None = None,
 ) -> tuple[PointCloud, Trajectory]:
     """Chain scans through odometry; returns the union of the transformed
@@ -168,12 +153,6 @@ def combine_scans(
     if state is None:
         state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
     for scan in scans:
-        register_scan(
-            state,
-            scan,
-            config,
-            registration_voxel_size=registration_voxel_size,
-            default_threshold=default_threshold,
-        )
+        register_scan(state, scan, config, registration_voxel_size=registration_voxel_size)
     parts = [scan.transformed(pose) for scan, pose in zip(scans, state.poses)]
     return concat_clouds(parts), Trajectory(list(state.poses))

@@ -267,13 +267,17 @@ def spaces_from_reference(cloud: PointCloud, config: PipelineConfig) -> list[Par
     """Derive parking spaces from a labelled reference cloud.
 
     Car points are clustered; each cluster becomes an Occupied space with a
-    fitted box. Ids follow cluster order."""
+    fitted box. A cluster with no planar spread (a mislabelled pole, say) has
+    no box and is skipped. Ids are contiguous in cluster order."""
     cars = extract_class(cloud, config.car_label)
     clusters = euclidean_cluster(cars, config.cluster_distance, config.cluster_min_points)
     spaces = []
-    for i, cluster in enumerate(clusters):
-        box = fit_oriented_box(cars.points[cluster.indices])
-        spaces.append(ParkingSpace(i, box, OccupancyState.OCCUPIED))
+    for cluster in clusters:
+        try:
+            box = fit_oriented_box(cars.points[cluster.indices])
+        except DegenerateGeometryError:
+            continue
+        spaces.append(ParkingSpace(len(spaces), box, OccupancyState.OCCUPIED))
     return spaces
 
 

@@ -31,7 +31,7 @@ from .fpfh import compute_fpfh
 from .io import read_ply, read_poses, write_ply, write_poses
 from .odometry import OdometryState, combine_scans
 from .parking import ParkingSpace, save_spaces, spaces_from_reference
-from .registration import RegistrationResult, icp_point_to_plane, ransac_coarse
+from .registration import RegistrationResult, icp_point_to_plane, planar_cells, ransac_coarse
 from .spatial import SpatialIndex
 from .synthetic import SceneSpec, generate_synthetic_scene
 from .transform import RigidTransform, Trajectory
@@ -256,6 +256,34 @@ def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointClo
     return PointCloud(points), descriptors
 
 
+def coarse_align(
+    reference_coarse: VoxelGrid, combined: PointCloud, config: PipelineConfig, seed: int
+) -> RegistrationResult:
+    """Coarse stage: FPFH + RANSAC from the combined scan cloud onto the
+    reference's coarse grid."""
+    target_cloud, target_desc = coarse_features(reference_coarse, config)
+    _, combined_coarse = two_level_grids(combined, config)
+    source_cloud, source_desc = coarse_features(combined_coarse, config)
+    return ransac_coarse(source_cloud, target_cloud, source_desc, target_desc, config, seed)
+
+
+def refine_scans(
+    scans: list[PointCloud],
+    odometry_poses: Trajectory,
+    coarse_transform: RigidTransform,
+    reference_fine: VoxelGrid,
+    config: PipelineConfig,
+) -> list[RegistrationResult]:
+    """Fine stage: point-to-plane ICP of every raw scan against the planar
+    cells of the reference fine grid (normals already computed), each started
+    from its odometry pose mapped through the coarse transform."""
+    index, normals = planar_cells(reference_fine)
+    return [
+        icp_point_to_plane(scan, index, normals, coarse_transform @ pose, config)
+        for scan, pose in zip(scans, odometry_poses)
+    ]
+
+
 def _check_inputs(run: PipelineRun) -> None:
     reference = Path(run.reference_path)
     if not reference.is_file():
@@ -315,22 +343,11 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         combined, odometry_poses = combine_scans(scans, config, state=odometry_state)
 
         stage = "coarse"
-        target_cloud, target_desc = coarse_features(reference_coarse, config)
-        _, combined_coarse = two_level_grids(combined, config)
-        source_cloud, source_desc = coarse_features(combined_coarse, config)
-        coarse = ransac_coarse(
-            source_cloud, target_cloud, source_desc, target_desc, config, run.seed
-        )
+        coarse = coarse_align(reference_coarse, combined, config, run.seed)
 
         stage = "fine"
-        fine_results = []
-        refined = []
-        for scan, pose in zip(scans, odometry_poses):
-            init = coarse.transform @ pose
-            result = icp_point_to_plane(scan, reference_fine, init, config)
-            fine_results.append(result)
-            refined.append(result.transform)
-        refined_poses = Trajectory(refined)
+        fine_results = refine_scans(scans, odometry_poses, coarse.transform, reference_fine, config)
+        refined_poses = Trajectory([result.transform for result in fine_results])
 
         stage = "evaluate"
         errors = None

@@ -3,7 +3,6 @@ and point-to-plane ICP against a voxel grid."""
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,21 +18,14 @@ EDGE_PRUNE_RATIO = 0.10   # pairwise source edge must match target edge to 10%
 MIN_ICP_CORRESPONDENCES = 6
 SPECTRAL_CUTOFF = 1e-12   # relative eigenvalue cutoff for the 6x6 solve
 
-# planar-cell views (means, normals, index) per grid, keyed by grid version so
-# repeated refinements against one map do not rebuild the spatial index
-_PLANAR_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-
-def _planar_cells(grid: VoxelGrid):
-    cached = _PLANAR_CACHE.get(grid)
-    if cached is not None and cached[0] == grid.version:
-        return cached[1], cached[2], cached[3]
+def planar_cells(grid: VoxelGrid) -> tuple[SpatialIndex, np.ndarray]:
+    """Index over the means of the cells that have a normal, and their normals:
+    the target of icp_point_to_plane. Build it once per reference grid."""
     mask = grid.has_normal
-    means = grid.means[mask]
-    normals = grid.normals[mask]
-    index = SpatialIndex(means) if len(means) else None
-    _PLANAR_CACHE[grid] = (grid.version, means, normals, index)
-    return means, normals, index
+    if not mask.any():
+        raise ValueError("target grid has no cells with normals")
+    return SpatialIndex(grid.means[mask]), grid.normals[mask]
 
 
 @dataclass
@@ -45,11 +37,15 @@ class RegistrationResult:
     converged: bool
 
 
-def estimate_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    """Least-squares rigid motion mapping source points onto target points.
+def estimate_rigid(
+    source: np.ndarray, target: np.ndarray, weights: np.ndarray | None = None
+) -> RigidTransform:
+    """(Weighted) least-squares rigid motion mapping source points onto target
+    points.
 
-    Closed form via SVD of the cross-covariance with determinant-sign
-    correction, so the result is always a proper rotation.
+    Closed form via SVD of the weighted cross-covariance about the weighted
+    centroids, with determinant-sign correction, so the result is always a
+    proper rotation. Weights default to one per pair; they must be positive.
     """
     a = np.asarray(source, dtype=float)
     b = np.asarray(target, dtype=float)
@@ -57,17 +53,19 @@ def estimate_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
         raise ValueError("source and target must be matching (N, 3) arrays")
     if len(a) < 3:
         raise ValueError("need at least 3 point pairs")
-    centroid_a = a.mean(axis=0)
-    centroid_b = b.mean(axis=0)
+    w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (len(a),):
+        raise ValueError("weights must hold one value per point pair")
+    wsum = w.sum()
+    centroid_a = (w[:, None] * a).sum(axis=0) / wsum
+    centroid_b = (w[:, None] * b).sum(axis=0) / wsum
     a0 = a - centroid_a
     b0 = b - centroid_b
 
-    spread = np.linalg.svd(a0, compute_uv=False)
-    if not spread[0] > 0.0 or spread[1] < 1e-12 * spread[0]:
-        raise DegenerateGeometryError("source points are coincident or collinear")
-
-    h = a0.T @ b0
-    u, _, vt = np.linalg.svd(h)
+    h = (w[:, None] * a0).T @ b0
+    u, s, vt = np.linalg.svd(h)
+    if not s[0] > 0.0 or s[1] < 1e-12 * s[0]:
+        raise DegenerateGeometryError("point pairs are coincident or collinear")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     if d == 0.0:
         d = 1.0
@@ -122,7 +120,6 @@ def ransac_coarse(
     target_desc: np.ndarray,
     config: PipelineConfig,
     seed: int,
-    matches: np.ndarray | None = None,
 ) -> RegistrationResult:
     """Feature-based coarse alignment.
 
@@ -130,19 +127,13 @@ def ransac_coarse(
     matches, prunes samples whose pairwise edges disagree with the matched
     target edges by more than 10%, estimates the rigid motion, and scores it
     against the full source cloud. Candidates rank by (fitness, lower rmse).
-
-    ``matches`` may carry a precomputed match_fpfh result for callers that
-    retry with unchanged descriptor sets; by default it is computed here.
     """
     if len(source) < 3 or len(target) < 3:
         raise ValueError("coarse registration needs at least 3 points per side")
     if len(source_desc) != len(source) or len(target_desc) != len(target):
         raise ValueError("descriptors must align with their point clouds")
 
-    if matches is None:
-        matches, _ = match_fpfh(source_desc, target_desc)
-    elif len(matches) != len(source):
-        raise ValueError("matches must align with the source cloud")
+    matches, _ = match_fpfh(source_desc, target_desc)
     target_index = SpatialIndex(target.points)
     src = source.points
     tgt = target.points
@@ -209,22 +200,22 @@ def _solve_normal_equations(n: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def icp_point_to_plane(
     source: PointCloud,
-    target_grid: VoxelGrid,
+    index: SpatialIndex,
+    normals: np.ndarray,
     init: RigidTransform,
     config: PipelineConfig,
 ) -> RegistrationResult:
-    """Refine an alignment of a cloud against a voxel grid's planar cells.
+    """Refine an alignment of a cloud against planar cells, as planar_cells
+    returns them: an index over the cell means and one normal per mean.
 
     Correspondences run from transformed source points to the nearest cell
-    mean (cells with normals only) within the configured distance; each
-    iteration minimizes the sum of squared point-to-plane residuals through
-    the small-angle linearization and composes the increment on the left.
+    mean within the configured distance; each iteration minimizes the sum of
+    squared point-to-plane residuals through the small-angle linearization
+    and composes the increment on the left.
     """
     if len(source) == 0:
         raise ValueError("source cloud is empty")
-    means, normals, index = _planar_cells(target_grid)
-    if index is None:
-        raise ValueError("target grid has no cells with normals")
+    means = index.points
 
     max_dist = config.icp_max_correspondence_distance
     transform = init

@@ -118,7 +118,6 @@ class VoxelGrid:
             raise ValueError("voxel_size must be strictly positive")
         self.voxel_size = float(voxel_size)
         self._rows: dict[VoxelKey, int] | None = None  # built lazily
-        self._version = 0  # bumped on every mutation; lets callers cache views
         self._keys = np.empty((0, 3), np.int64)
         self._counts = np.empty(0, np.int64)
         self._sums = np.empty((0, 3))
@@ -132,11 +131,6 @@ class VoxelGrid:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    @property
-    def version(self) -> int:
-        """Mutation counter; changes whenever cell data changes."""
-        return self._version
 
     def _row_map(self) -> dict[VoxelKey, int]:
         if self._rows is None:
@@ -209,7 +203,6 @@ class VoxelGrid:
     # -- construction -------------------------------------------------------
 
     def _append_rows(self, keys, counts, sums, color_sums) -> None:
-        self._version += 1
         start = len(self._counts)
         self._keys = np.concatenate([self._keys, keys])
         self._counts = np.concatenate([self._counts, counts])
@@ -237,7 +230,6 @@ class VoxelGrid:
             raise ValueError("expected an (N, 3) array")
         if len(pts) == 0:
             return
-        self._version += 1
         keys, counts, sums, _ = _group_points(pts, self.voxel_size)
         row_map = self._row_map()
         rows = np.array([row_map.get(k, -1) for k in map(tuple, keys.tolist())], np.int64)
@@ -260,7 +252,6 @@ class VoxelGrid:
         keep = dist <= radius
         if keep.all():
             return
-        self._version += 1
         self._keys = self._keys[keep]
         self._counts = self._counts[keep]
         self._sums = self._sums[keep]
@@ -277,7 +268,6 @@ class VoxelGrid:
 
         viewpoint orients the signs: a single point (3,) or one anchor per
         cell (len(grid), 3)."""
-        self._version += 1
         self._normals = np.zeros((len(self), 3))
         self._has_normal = np.zeros(len(self), bool)
         rows = np.flatnonzero(self._has_cov)

@@ -382,6 +382,18 @@ class TestSpacesFromReference:
         assert abs(centers[0] - 4.0) < 0.5
         assert abs(centers[1] - 14.0) < 0.5
 
+    def test_collinear_cluster_is_skipped(self, rng):
+        # a mislabelled pole: collinear and vertical, so its box has no
+        # planar extent; it comes first in cluster order yet takes no id
+        pole = np.column_stack([np.full(40, 10.0), np.full(40, 5.0), np.linspace(0.0, 2.0, 40)])
+        car = _blob(rng, (4.0, 3.0, 0.7), n=80, spread=0.5)
+        cloud = PointCloud(np.vstack([pole, car]), labels=np.ones(120, dtype=np.int64))
+        config = PipelineConfig()
+        assert len(euclidean_cluster(cloud, config.cluster_distance, config.cluster_min_points)) == 2
+        spaces = spaces_from_reference(cloud, config)
+        assert [s.space_id for s in spaces] == [0]
+        assert abs(float(spaces[0].box.centroid[0]) - 4.0) < 0.5
+
 
 class TestSaveLoadSpaces:
     def test_round_trip_is_exact(self, rng, tmp_path):

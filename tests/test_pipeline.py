@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from voxloc import pipeline as pipeline_module
 from voxloc.cli import main
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig, config_hash
@@ -291,9 +292,9 @@ class TestRunPipeline:
         assert result.status.startswith("error:")
         assert not (tmp_path / "out").exists()
 
-    def test_parking_failure_names_its_stage(self, dataset, tmp_path):
+    def test_degenerate_car_cluster_is_skipped(self, dataset, tmp_path):
         # every car point on one vertical line: the only cluster has no
-        # planar spread, so fitting its box raises DegenerateGeometryError
+        # planar spread, so it gets no box, and the run still succeeds
         reference = read_ply(dataset["reference"])
         column = np.zeros((40, 3))
         column[:, :2] = reference.points[:, :2].mean(axis=0)
@@ -309,6 +310,26 @@ class TestRunPipeline:
             config=PipelineConfig(),
             reference_path=degenerate,
             scan_dir=scan_dir,
+            out_dir=tmp_path / "out",
+            seed=0,
+        )
+        result = run_pipeline(run)
+        assert result.status == "ok"
+        assert result.exit_code == 0
+        for name in ("refined_poses", "odometry_poses", "coarse_transform"):
+            assert result.artifacts[name].is_file()
+        assert json.loads(result.artifacts["spaces"].read_text()) == []
+        assert load_scene(result.artifacts["scene"])["boxes"] == []
+
+    def test_parking_failure_names_its_stage(self, dataset, tmp_path, monkeypatch):
+        def broken(cloud, config):
+            raise DataError("parking broke")
+
+        monkeypatch.setattr(pipeline_module, "spaces_from_reference", broken)
+        run = PipelineRun(
+            config=PipelineConfig(),
+            reference_path=dataset["reference"],
+            scan_dir=dataset["scans"],
             out_dir=tmp_path / "out",
             seed=0,
         )
@@ -346,18 +367,20 @@ class TestCli:
         assert main(["pipeline", "--reference", "data/reference.ply",
                      "--scans", "data/scans", "--gt-poses", "data/gt_poses.txt",
                      "--seed", "0", "--out-dir", "full"]) == 0
-        staged = read_poses(tmp_path / "stage" / "refined_poses.txt")
-        direct = read_poses(tmp_path / "full" / "refined_poses.txt")
-        assert len(staged) == len(direct) == 4
-        for a, b in zip(staged, direct):
-            np.testing.assert_allclose(a.matrix(), b.matrix(), atol=1e-12)
+        for name in ("refined_poses.txt", "odometry_poses.txt",
+                     "coarse_transform.txt", "combined.ply"):
+            staged = (tmp_path / "stage" / name).read_bytes()
+            assert staged == (tmp_path / "full" / name).read_bytes(), name
+        assert len(read_poses(tmp_path / "stage" / "refined_poses.txt")) == 4
 
-    def test_voxelize_writes_scene(self, dataset, tmp_path):
+    def test_export_scene_without_spaces_writes_scene(self, dataset, tmp_path):
         out = tmp_path / "vox"
-        assert main(["voxelize", "--reference", str(dataset["reference"]),
+        assert main(["export-scene", "--reference", str(dataset["reference"]),
                      "--out-dir", str(out)]) == 0
-        doc = load_scene(out / "voxels.json")
-        assert len(doc["voxels"]) > 0
+        doc = load_scene(out / "scene.json")
+        _, coarse = two_level_grids(read_ply(dataset["reference"]), PipelineConfig())
+        assert len(doc["voxels"]) == len(coarse) > 0
+        assert doc["boxes"] == []
 
     def test_eval_writes_metrics(self, dataset, tmp_path):
         out = tmp_path / "metrics"
@@ -403,7 +426,7 @@ class TestCli:
     def test_unknown_config_key_exits_two(self, dataset, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_text('{"voxel_size_fien": 0.1}\n')
-        rc = main(["voxelize", "--config", str(bad),
+        rc = main(["export-scene", "--config", str(bad),
                    "--reference", str(dataset["reference"]),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2

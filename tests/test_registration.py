@@ -1,7 +1,10 @@
 """Registration tests: closed-form pose, matching, RANSAC, point-to-plane ICP."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
@@ -12,6 +15,7 @@ from voxloc.registration import (
     evaluate_alignment,
     icp_point_to_plane,
     match_fpfh,
+    planar_cells,
     ransac_coarse,
 )
 from voxloc.spatial import SpatialIndex
@@ -119,6 +123,58 @@ class TestEstimateRigid:
         line = np.outer(np.arange(5, dtype=float), [1.0, 1.0, 0.0])
         with pytest.raises(DegenerateGeometryError):
             estimate_rigid(line, line + 1.0)
+
+    def test_coincident_source_raises(self):
+        same = np.tile([1.0, -2.0, 3.0], (6, 1))
+        with pytest.raises(DegenerateGeometryError):
+            estimate_rigid(same, same)
+
+    def test_collinear_weighted_input_raises(self, rng):
+        line = np.outer(rng.normal(size=8), [0.0, 1.0, 2.0])
+        with pytest.raises(DegenerateGeometryError):
+            estimate_rigid(line, line, rng.uniform(0.1, 2.0, 8))
+
+    def test_unit_weights_are_bitwise_unweighted(self, rng):
+        truth = _random_rigid(rng)
+        pts = rng.normal(size=(30, 3)) * 4.0
+        target = truth.apply(pts) + rng.normal(scale=0.01, size=(30, 3))
+        plain = estimate_rigid(pts, target)
+        unit = estimate_rigid(pts, target, np.ones(30))
+        np.testing.assert_array_equal(unit.rotation, plain.rotation)
+        np.testing.assert_array_equal(unit.translation, plain.translation)
+
+    def test_weights_pull_toward_heavy_pairs(self, rng):
+        # two consistent pair sets disagree by a shift; the heavy set wins
+        pts = rng.normal(size=(20, 3)) * 3.0
+        target = pts.copy()
+        target[10:] += [0.5, 0.0, 0.0]
+        weights = np.r_[np.full(10, 1e6), np.ones(10)]
+        t = estimate_rigid(pts, target, weights)
+        assert np.linalg.norm(t.translation) < 1e-3
+
+    def test_weight_count_mismatch_raises(self, rng):
+        pts = rng.normal(size=(5, 3))
+        with pytest.raises(ValueError):
+            estimate_rigid(pts, pts, np.ones(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rotvec=hnp.arrays(np.float64, 3, elements=st.floats(-3.0, 3.0)),
+        shift=hnp.arrays(np.float64, 3, elements=st.floats(-100.0, 100.0)),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(3, 40),
+    )
+    def test_weighted_recovery_of_random_motion(self, rotvec, shift, seed, count):
+        gen = np.random.default_rng(seed)
+        pts = gen.normal(size=(count, 3)) * gen.uniform(0.5, 20.0)
+        weights = gen.uniform(1e-3, 1e3, size=count)
+        centred = np.sqrt(weights)[:, None] * (pts - np.average(pts, axis=0, weights=weights))
+        spread = np.linalg.svd(centred, compute_uv=False)
+        assume(spread[1] > 1e-3 * spread[0])  # a well-conditioned, non-collinear set
+        truth = RigidTransform(rotation_exp(rotvec), shift)
+        t = estimate_rigid(pts, truth.apply(pts), weights)
+        np.testing.assert_allclose(t.rotation, truth.rotation, atol=1e-8)
+        np.testing.assert_allclose(t.translation, truth.translation, atol=1e-7)
 
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
@@ -272,22 +328,19 @@ class TestRansacCoarse:
     def test_unprunable_matches_give_failure_result(self, rng):
         config = PipelineConfig(ransac_max_iterations=500)
         points = rng.uniform(-5.0, 5.0, size=(40, 3))
-        desc = rng.random((40, 33))
+        source_desc = rng.random((40, 33))
+        # identical target rows: every source matches target 0 (ties go to the
+        # lowest index), so all target edges are zero and no sample can pass
+        # the 10% edge check
+        target_desc = np.zeros((40, 33))
+        matches, _ = match_fpfh(source_desc, target_desc)
+        np.testing.assert_array_equal(matches, np.zeros(40))
         cloud = PointCloud(points)
-        # every source maps to one target point: all target edges are zero,
-        # so no sample can pass the 10% edge check
-        forced = np.zeros(40, dtype=np.int64)
-        res = ransac_coarse(cloud, cloud, desc, desc, config, seed=0, matches=forced)
+        res = ransac_coarse(cloud, cloud, source_desc, target_desc, config, seed=0)
         assert res.fitness == 0.0
         assert not res.converged
+        assert res.iterations == config.ransac_max_iterations
         np.testing.assert_array_equal(res.transform.rotation, np.eye(3))
-
-    def test_wrong_matches_length_raises(self, rng, config):
-        points = rng.uniform(-5.0, 5.0, size=(10, 3))
-        desc = rng.random((10, 33))
-        cloud = PointCloud(points)
-        with pytest.raises(ValueError):
-            ransac_coarse(cloud, cloud, desc, desc, config, seed=0, matches=np.zeros(4, np.int64))
 
     def test_too_few_points_raises(self, rng, config):
         cloud = PointCloud(rng.normal(size=(2, 3)))
@@ -302,11 +355,11 @@ class TestIcpPointToPlane:
         grid = voxelize(room, 0.1)
         grid.compute_normals()
         source = PointCloud(room.points[rng.choice(len(room), 4000, replace=False)])
-        return source, grid
+        return source, planar_cells(grid)
 
     def test_aligned_source_stays_put(self, rng, config):
-        source, grid = self._aligned_setup(rng)
-        res = icp_point_to_plane(source, grid, RigidTransform.identity(), config)
+        source, target = self._aligned_setup(rng)
+        res = icp_point_to_plane(source, *target, RigidTransform.identity(), config)
         assert res.converged
         assert res.iterations <= 2
         assert res.inlier_rmse < 1e-9
@@ -320,53 +373,64 @@ class TestIcpPointToPlane:
         grid.compute_normals()
         shifted = PointCloud(plane.points + [0.0, 0.0, 0.05])
         config = PipelineConfig(icp_max_iterations=1)
-        res = icp_point_to_plane(shifted, grid, RigidTransform.identity(), config)
+        res = icp_point_to_plane(shifted, *planar_cells(grid), RigidTransform.identity(), config)
         assert res.iterations == 1
         np.testing.assert_allclose(res.transform.translation, [0.0, 0.0, -0.05], atol=1e-9)
         np.testing.assert_allclose(res.transform.rotation, np.eye(3), atol=1e-9)
 
     def test_perturbed_init_converges_home(self, rng, config):
-        source, grid = self._aligned_setup(rng)
+        source, target = self._aligned_setup(rng)
         init = RigidTransform(
             rotation_exp([0.0, 0.0, np.radians(2.0)]), np.array([0.15, -0.1, 0.05])
         )
-        res = icp_point_to_plane(source, grid, init, config)
+        res = icp_point_to_plane(source, *target, init, config)
         assert res.converged
         assert np.linalg.norm(res.transform.translation) < 5e-3
         assert np.degrees(np.linalg.norm(rotation_log(res.transform.rotation))) < 0.5
 
     def test_rmse_non_increasing_over_iterations(self, rng):
-        source, grid = self._aligned_setup(rng)
+        source, target = self._aligned_setup(rng)
         init = RigidTransform(
             rotation_exp([0.0, 0.0, np.radians(1.5)]), np.array([0.1, -0.08, 0.04])
         )
         series = []
         for cap in range(1, 7):
             config = PipelineConfig(icp_max_iterations=cap, icp_convergence_eps=1e-14)
-            series.append(icp_point_to_plane(source, grid, init, config).inlier_rmse)
+            series.append(icp_point_to_plane(source, *target, init, config).inlier_rmse)
         for earlier, later in zip(series, series[1:]):
             assert later <= earlier + 1e-12
 
     def test_no_overlap_raises(self, rng, config):
-        source, grid = self._aligned_setup(rng)
+        source, target = self._aligned_setup(rng)
         far = RigidTransform(np.eye(3), np.array([200.0, 0.0, 0.0]))
         with pytest.raises(InsufficientOverlapError):
-            icp_point_to_plane(source, grid, far, config)
+            icp_point_to_plane(source, *target, far, config)
 
     def test_empty_source_raises(self, rng, config):
-        _, grid = self._aligned_setup(rng)
+        _, target = self._aligned_setup(rng)
+        empty = PointCloud(np.empty((0, 3)))
         with pytest.raises(ValueError):
-            icp_point_to_plane(PointCloud(np.empty((0, 3))), grid, RigidTransform.identity(), config)
+            icp_point_to_plane(empty, *target, RigidTransform.identity(), config)
 
-    def test_grid_without_normals_raises(self, rng, config):
+    def test_grid_without_normals_raises(self, rng):
         cloud = PointCloud(rng.normal(size=(100, 3)))
         grid = voxelize(cloud, 0.1)  # normals never computed
         with pytest.raises(ValueError):
-            icp_point_to_plane(cloud, grid, RigidTransform.identity(), config)
+            planar_cells(grid)
+
+    def test_planar_cells_are_the_normal_bearing_means(self, rng):
+        room = _wall_room(rng, density=100.0)
+        lone = np.column_stack([np.arange(30.0), np.full(30, 20.0), np.full(30, 5.0)])
+        grid = voxelize(PointCloud(np.vstack([room.points, lone])), 0.1)
+        grid.compute_normals()
+        assert not grid.has_normal.all()  # the lone points' cells have none
+        index, normals = planar_cells(grid)
+        np.testing.assert_array_equal(index.points, grid.means[grid.has_normal])
+        np.testing.assert_array_equal(normals, grid.normals[grid.has_normal])
 
     def test_result_fields_well_formed(self, rng, config):
-        source, grid = self._aligned_setup(rng)
-        res = icp_point_to_plane(source, grid, RigidTransform.identity(), config)
+        source, target = self._aligned_setup(rng)
+        res = icp_point_to_plane(source, *target, RigidTransform.identity(), config)
         assert 0.0 <= res.fitness <= 1.0
         assert res.inlier_rmse >= 0.0
         assert res.iterations >= 1
