@@ -3,6 +3,9 @@
 `pipeline` runs the whole localization in one go. `odometry`, `coarse` and
 `fine` run its stages one at a time, chained through intermediate files; they
 call the same stage functions as `pipeline` and write byte-identical files.
+`fine` first aligns the combined cloud (rebuilt from the scans and odometry
+poses) once from the coarse transform, then refines every scan from that
+alignment; it prints the whole-cloud step's fitness.
 `parking`, `eval`, `export-scene` and `synth` cover occupancy updates, pose
 scoring, the coarse-grid scene (with optional parking boxes) and synthetic
 data. Exit codes: 0 success, 1 stage failure, 2 input error (missing,
@@ -142,9 +145,10 @@ def _cmd_fine(args) -> int:
         raise _InputError("coarse transform file must hold exactly one pose")
     fine_grid, _ = two_level_grids(reference, config)
     fine_grid.compute_normals()
-    results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
+    whole, results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
     out = _out_dir(args) / "refined_poses.txt"
     write_poses(out, Trajectory([result.transform for result in results]))
+    print(f"whole_cloud_fitness: {whole.fitness:.6f}")
     print(f"refined {len(results)} poses")
     print(f"poses: {out}")
     return 0
@@ -175,6 +179,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_parking(args) -> int:
     config = _resolve_config(args)
+    skipped: list[int] = []
     if args.spaces:
         spaces_path = Path(args.spaces)
         if not spaces_path.is_file():
@@ -182,7 +187,7 @@ def _cmd_parking(args) -> int:
         spaces = load_spaces(spaces_path)
     else:
         reference = _load_cloud(args.reference)
-        spaces = spaces_from_reference(reference, config)
+        spaces = spaces_from_reference(reference, config, skipped=skipped)
     update = _load_cloud(args.update_cloud)
     if update.labels is not None:
         car_points = extract_class(update, config.car_label).points
@@ -195,6 +200,7 @@ def _cmd_parking(args) -> int:
     print(f"spaces: {len(updated)}")
     print(f"occupied: {occupied}")
     print(f"vacant: {len(updated) - occupied}")
+    print(f"skipped: {len(skipped)}")
     print(f"spaces file: {out}")
     return 0
 

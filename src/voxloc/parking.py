@@ -263,19 +263,24 @@ def update_occupancy(
     return updated
 
 
-def spaces_from_reference(cloud: PointCloud, config: PipelineConfig) -> list[ParkingSpace]:
+def spaces_from_reference(
+    cloud: PointCloud, config: PipelineConfig, *, skipped: list[int] | None = None
+) -> list[ParkingSpace]:
     """Derive parking spaces from a labelled reference cloud.
 
     Car points are clustered; each cluster becomes an Occupied space with a
     fitted box. A cluster with no planar spread (a mislabelled pole, say) has
-    no box and is skipped. Ids are contiguous in cluster order."""
+    no box and is skipped; pass a list as `skipped` to collect the indices of
+    those clusters. Ids are contiguous in cluster order."""
     cars = extract_class(cloud, config.car_label)
     clusters = euclidean_cluster(cars, config.cluster_distance, config.cluster_min_points)
     spaces = []
-    for cluster in clusters:
+    for number, cluster in enumerate(clusters):
         try:
             box = fit_oriented_box(cars.points[cluster.indices])
         except DegenerateGeometryError:
+            if skipped is not None:
+                skipped.append(number)
             continue
         spaces.append(ParkingSpace(len(spaces), box, OccupancyState.OCCUPIED))
     return spaces

@@ -1,8 +1,10 @@
 """End-to-end localization pipeline and scene export.
 
 run_pipeline chains the stages: voxelize the reference, combine the scans by
-odometry, coarse-align the combined cloud with FPFH + RANSAC, then refine
-every raw scan with point-to-plane ICP against the fine reference grid.
+odometry, coarse-align the combined cloud with FPFH + RANSAC, refine that
+alignment with one point-to-plane ICP of the whole (downsampled) combined
+cloud, then refine every raw scan with point-to-plane ICP against the fine
+reference grid, each started from the refined whole-cloud alignment.
 Outputs land in a run directory together with a manifest naming them; a
 failed run removes whatever it had already written.
 """
@@ -10,12 +12,12 @@ failed run removes whatever it had already written.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, concat_clouds
 from .config import PipelineConfig, config_hash
 from .errors import DataError, ParseError
 from .evaluation import (
@@ -45,6 +47,11 @@ _DEFAULT_VOXEL_COLOR = (128, 128, 128)
 _PLANARITY_RATIO = 0.03  # max smallest/largest eigenvalue for a feature cell
 _ANCHOR_SCALE = 4.0      # normal-orientation anchor radius over fpfh_radius
 _ANCHOR_RADIUS_CAP = 20.0  # beyond this the anchor centroid barely moves
+# whole-cloud ICP: downsample voxel over voxel_size_fine (odometry's
+# registration scale), and its iteration cap, above the per-scan one because
+# it starts from the metre-level RANSAC error
+WHOLE_CLOUD_SCALE = 5.0
+WHOLE_CLOUD_MAX_ITERATIONS = 200
 
 SCENE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -135,6 +142,7 @@ class PipelineResult:
     odometry_poses: Trajectory | None = None
     refined_poses: Trajectory | None = None
     coarse: RegistrationResult | None = None
+    whole_cloud: RegistrationResult | None = None
     fine: list[RegistrationResult] = field(default_factory=list)
     errors: PoseErrors | None = None
     rejected_scans: list[int] = field(default_factory=list)
@@ -273,15 +281,31 @@ def refine_scans(
     coarse_transform: RigidTransform,
     reference_fine: VoxelGrid,
     config: PipelineConfig,
-) -> list[RegistrationResult]:
-    """Fine stage: point-to-plane ICP of every raw scan against the planar
-    cells of the reference fine grid (normals already computed), each started
-    from its odometry pose mapped through the coarse transform."""
+) -> tuple[RegistrationResult, list[RegistrationResult]]:
+    """Fine stage: point-to-plane ICP against the planar cells of the
+    reference fine grid (normals already computed), in two steps.
+
+    First the combined cloud, rebuilt from the scans and their odometry poses
+    and downsampled to WHOLE_CLOUD_SCALE * voxel_size_fine, is aligned once
+    from the coarse transform (at most WHOLE_CLOUD_MAX_ITERATIONS). Then every
+    raw scan is refined from its odometry pose mapped through that alignment,
+    so the scans no longer each climb the coarse error on their own. Returns
+    the whole-cloud result and the per-scan results."""
     index, normals = planar_cells(reference_fine)
-    return [
-        icp_point_to_plane(scan, index, normals, coarse_transform @ pose, config)
+    combined = concat_clouds([scan.transformed(pose) for scan, pose in zip(scans, odometry_poses)])
+    sparse = downsample(voxelize(combined, WHOLE_CLOUD_SCALE * config.voxel_size_fine))
+    whole = icp_point_to_plane(
+        sparse,
+        index,
+        normals,
+        coarse_transform,
+        replace(config, icp_max_iterations=WHOLE_CLOUD_MAX_ITERATIONS),
+    )
+    per_scan = [
+        icp_point_to_plane(scan, index, normals, whole.transform @ pose, config)
         for scan, pose in zip(scans, odometry_poses)
     ]
+    return whole, per_scan
 
 
 def _check_inputs(run: PipelineRun) -> None:
@@ -346,7 +370,9 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         coarse = coarse_align(reference_coarse, combined, config, run.seed)
 
         stage = "fine"
-        fine_results = refine_scans(scans, odometry_poses, coarse.transform, reference_fine, config)
+        whole, fine_results = refine_scans(
+            scans, odometry_poses, coarse.transform, reference_fine, config
+        )
         refined_poses = Trajectory([result.transform for result in fine_results])
 
         stage = "evaluate"
@@ -368,9 +394,10 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         write_ply(artifacts["combined_cloud"], combined)
 
         spaces: list[ParkingSpace] = []
+        skipped_clusters: list[int] = []
         if reference.labels is not None:
             stage = "parking"
-            spaces = spaces_from_reference(reference, config)
+            spaces = spaces_from_reference(reference, config, skipped=skipped_clusters)
             stage = "write"
             artifacts["spaces"] = _target("spaces.json")
             save_spaces(artifacts["spaces"], spaces)
@@ -393,6 +420,13 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
             "seed": int(run.seed),
             "scan_count": len(scans),
             "rejected_scans": [int(i) for i in odometry_state.rejected],
+            "whole_cloud": {
+                "fitness": whole.fitness,
+                "inlier_rmse": whole.inlier_rmse,
+                "iterations": int(whole.iterations),
+                "converged": bool(whole.converged),
+            },
+            "skipped_car_clusters": len(skipped_clusters),
             "status": "ok",
             "outputs": {name: path.name for name, path in artifacts.items()},
         }
@@ -415,6 +449,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         odometry_poses=odometry_poses,
         refined_poses=refined_poses,
         coarse=coarse,
+        whole_cloud=whole,
         fine=fine_results,
         errors=errors,
         rejected_scans=[int(i) for i in odometry_state.rejected],

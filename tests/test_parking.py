@@ -390,7 +390,9 @@ class TestSpacesFromReference:
         cloud = PointCloud(np.vstack([pole, car]), labels=np.ones(120, dtype=np.int64))
         config = PipelineConfig()
         assert len(euclidean_cluster(cloud, config.cluster_distance, config.cluster_min_points)) == 2
-        spaces = spaces_from_reference(cloud, config)
+        skipped = []
+        spaces = spaces_from_reference(cloud, config, skipped=skipped)
+        assert skipped == [0]
         assert [s.space_id for s in spaces] == [0]
         assert abs(float(spaces[0].box.centroid[0]) - 4.0) < 0.5
 

@@ -1,18 +1,24 @@
 """End-to-end pipeline, scene export, and the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import voxloc
 from voxloc import pipeline as pipeline_module
 from voxloc.cli import main
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig, config_hash
 from voxloc.errors import DataError, ParseError
 from voxloc.io import read_ply, read_poses, write_ply
+from voxloc.odometry import combine_scans
 from voxloc.parking import OccupancyState, OrientedBox, ParkingSpace
 from voxloc.pipeline import (
     SCENE_SCHEMA,
@@ -21,12 +27,13 @@ from voxloc.pipeline import (
     export_scene,
     list_scan_files,
     load_scene,
+    refine_scans,
     run_pipeline,
     two_level_grids,
     write_synthetic_dataset,
 )
 from voxloc.synthetic import SceneSpec, generate_synthetic_scene
-from voxloc.transform import rotation_log
+from voxloc.transform import RigidTransform, rotation_exp, rotation_log
 from voxloc.voxel import VoxelGrid, downsample, voxelize
 
 _SMALL_SPEC = SceneSpec(
@@ -209,6 +216,16 @@ class TestRunPipeline:
         assert manifest["scan_count"] == _SMALL_SPEC.scan_count
         assert manifest["config_hash"] == config_hash(PipelineConfig())
         assert manifest["rejected_scans"] == []
+        assert manifest["skipped_car_clusters"] == 0
+        whole = completed_run.whole_cloud
+        assert manifest["whole_cloud"] == {
+            "fitness": whole.fitness,
+            "inlier_rmse": whole.inlier_rmse,
+            "iterations": whole.iterations,
+            "converged": whole.converged,
+        }
+        assert whole.converged
+        assert whole.fitness > 0.9
         out_dir = completed_run.artifacts["manifest"].parent
         for name in manifest["outputs"].values():
             assert (out_dir / name).is_file()
@@ -320,9 +337,11 @@ class TestRunPipeline:
             assert result.artifacts[name].is_file()
         assert json.loads(result.artifacts["spaces"].read_text()) == []
         assert load_scene(result.artifacts["scene"])["boxes"] == []
+        manifest = json.loads(result.artifacts["manifest"].read_text())
+        assert manifest["skipped_car_clusters"] == 1
 
     def test_parking_failure_names_its_stage(self, dataset, tmp_path, monkeypatch):
-        def broken(cloud, config):
+        def broken(cloud, config, **collectors):
             raise DataError("parking broke")
 
         monkeypatch.setattr(pipeline_module, "spaces_from_reference", broken)
@@ -339,6 +358,71 @@ class TestRunPipeline:
         assert list((tmp_path / "out").iterdir()) == []
 
 
+class TestRefineScans:
+    @pytest.fixture(scope="class")
+    def staged(self, small_scene):
+        reference, scans, truth = small_scene
+        config = PipelineConfig()
+        fine, _ = two_level_grids(reference, config)
+        fine.compute_normals()
+        _, odometry_poses = combine_scans(scans, config)
+        # odometry's frame is the first scan's, so the first true pose is the
+        # coarse transform RANSAC aims for
+        return scans, odometry_poses, truth, fine, config
+
+    def _refine(self, staged, coarse):
+        scans, odometry_poses, truth, fine, config = staged
+        whole, per_scan = refine_scans(scans, odometry_poses, coarse, fine, config)
+        worst = max(
+            np.linalg.norm(result.transform.translation - pose.translation)
+            for result, pose in zip(per_scan, truth)
+        )
+        return whole, sum(result.iterations for result in per_scan), worst
+
+    def test_coarse_error_does_not_reach_per_scan_icp(self, staged):
+        truth = staged[2]
+        _, start_iterations, start_worst = self._refine(staged, truth[0])
+        assert start_worst < 0.01
+        for sign in (1.0, -1.0):
+            offset = RigidTransform(rotation_exp(np.array([0.0, 0.0, 0.05 * sign])),
+                                    np.array([2.0 * sign, 0.0, 0.0]))
+            whole, iterations, worst = self._refine(staged, offset @ truth[0])
+            assert whole.converged
+            assert iterations <= start_iterations + 6
+            assert worst < 0.01
+
+    def test_whole_cloud_step_keeps_its_own_iteration_cap(self, staged, monkeypatch):
+        icp = pipeline_module.icp_point_to_plane
+        caps = []
+
+        def recording(source, index, normals, init, config):
+            caps.append(config.icp_max_iterations)
+            return icp(source, index, normals, init, config)
+
+        monkeypatch.setattr(pipeline_module, "icp_point_to_plane", recording)
+        scans, config = staged[0], staged[4]
+        self._refine(staged, staged[2][0])
+        assert caps == [pipeline_module.WHOLE_CLOUD_MAX_ITERATIONS] + [
+            config.icp_max_iterations
+        ] * len(scans)
+
+
+@pytest.mark.slow
+def test_five_centimetre_noise_street_localizes(tmp_path):
+    paths = write_synthetic_dataset(tmp_path / "data", 4, SceneSpec(noise_sigma=0.05))
+    run = PipelineRun(
+        config=PipelineConfig(),
+        reference_path=paths["reference"],
+        scan_dir=paths["scans"],
+        out_dir=tmp_path / "out",
+        gt_poses_path=paths["gt_poses"],
+        seed=0,
+    )
+    result = run_pipeline(run)
+    assert result.status == "ok"
+    assert result.errors.xy.max() < 0.05
+
+
 class TestConfigHash:
     def test_stable_for_equal_configs(self):
         assert config_hash(PipelineConfig()) == config_hash(PipelineConfig())
@@ -349,7 +433,7 @@ class TestConfigHash:
 
 
 class TestCli:
-    def test_staged_subcommands_match_pipeline(self, tmp_path, monkeypatch):
+    def test_staged_subcommands_match_pipeline(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "--out-dir", "data", "--seed", "3",
                      "--scan-count", "4", "--car-count", "4",
@@ -364,6 +448,9 @@ class TestCli:
                      "--odom-poses", "stage/odometry_poses.txt",
                      "--coarse-transform", "stage/coarse_transform.txt",
                      "--out-dir", "stage"]) == 0
+        fitness = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("whole_cloud_fitness: ")]
+        assert len(fitness) == 1
         assert main(["pipeline", "--reference", "data/reference.ply",
                      "--scans", "data/scans", "--gt-poses", "data/gt_poses.txt",
                      "--seed", "0", "--out-dir", "full"]) == 0
@@ -371,6 +458,8 @@ class TestCli:
                      "coarse_transform.txt", "combined.ply"):
             staged = (tmp_path / "stage" / name).read_bytes()
             assert staged == (tmp_path / "full" / name).read_bytes(), name
+        manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
+        assert fitness == [f"whole_cloud_fitness: {manifest['whole_cloud']['fitness']:.6f}"]
         assert len(read_poses(tmp_path / "stage" / "refined_poses.txt")) == 4
 
     def test_export_scene_without_spaces_writes_scene(self, dataset, tmp_path):
@@ -390,11 +479,12 @@ class TestCli:
         lines = (out / "errors.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + _SMALL_SPEC.scan_count
 
-    def test_parking_from_reference(self, dataset, tmp_path):
+    def test_parking_from_reference(self, dataset, tmp_path, capsys):
         out = tmp_path / "park"
         assert main(["parking", "--reference", str(dataset["reference"]),
                      "--update-cloud", str(dataset["reference"]),
                      "--out-dir", str(out)]) == 0
+        assert "skipped: 0" in capsys.readouterr().out.splitlines()
         payload = json.loads((out / "spaces.json").read_text())
         assert len(payload) > 0
         assert all(entry["state"] == "occupied" for entry in payload)
@@ -431,6 +521,15 @@ class TestCli:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "voxel_size_fien" in capsys.readouterr().err
+
+    def test_cli_import_leaves_graph_module_unloaded(self):
+        # parking imports scipy.sparse.csgraph only when it clusters, so that
+        # starting the CLI stays cheap
+        code = "import sys, voxloc.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(voxloc.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
