@@ -1,13 +1,14 @@
 """Voxel-based point-cloud localization.
 
-Voxel statistics and normals, FPFH + RANSAC coarse registration,
-point-to-plane ICP fine registration, scan-combination odometry, parking
-occupancy analysis, trajectory evaluation, and a pipeline CLI tying the
-stages together.
+The package root holds the pipeline entry points: ``run_pipeline`` runs a
+``PipelineRun`` (configured by ``PipelineConfig`` or ``load_config``) and
+returns a ``PipelineResult``; ``write_synthetic_dataset`` writes a synthetic
+street described by a ``SceneSpec`` as pipeline inputs. Stages, file formats
+and the command line are imported from their own modules, such as
+``voxloc.voxel``, ``voxloc.registration``, ``voxloc.io`` and ``voxloc.cli``.
 """
 
-from .cloud import PointCloud, concat_clouds
-from .config import PipelineConfig, config_hash, load_config, parse_config
+from .config import PipelineConfig, load_config
 from .errors import (
     ConfigError,
     DataError,
@@ -15,128 +16,22 @@ from .errors import (
     InsufficientOverlapError,
     ParseError,
 )
-from .evaluation import (
-    ErrorHistogram,
-    PoseErrors,
-    error_histogram,
-    evaluate_trajectory,
-    write_errors_csv,
-    write_histogram_csv,
-)
-from .fpfh import PairAngles, SpfhHistogram, compute_fpfh, fpfh_descriptor, pair_angles, spfh
-from .io import read_ply, read_poses, write_ply, write_poses
-from .odometry import (
-    OdometryState,
-    adaptive_threshold,
-    combine_scans,
-    predict_motion,
-    register_scan,
-)
-from .parking import (
-    Cluster,
-    OccupancyState,
-    OrientedBox,
-    ParkingSpace,
-    euclidean_cluster,
-    extract_class,
-    fit_oriented_box,
-    load_spaces,
-    points_in_box,
-    save_spaces,
-    spaces_from_reference,
-    update_occupancy,
-)
-from .pipeline import (
-    SCENE_SCHEMA,
-    PipelineResult,
-    PipelineRun,
-    export_scene,
-    load_scene,
-    run_pipeline,
-    write_synthetic_dataset,
-)
-from .registration import (
-    RegistrationResult,
-    estimate_rigid,
-    evaluate_alignment,
-    icp_point_to_plane,
-    match_fpfh,
-    ransac_coarse,
-)
-from .spatial import SpatialIndex
-from .synthetic import SceneSpec, generate_synthetic_scene
-from .transform import RigidTransform, Trajectory
-from .voxel import VoxelCell, VoxelGrid, cell_statistics, downsample, estimate_normal, voxelize
+from .pipeline import PipelineResult, PipelineRun, run_pipeline, write_synthetic_dataset
+from .synthetic import SceneSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointCloud",
-    "concat_clouds",
-    "PipelineConfig",
-    "config_hash",
-    "load_config",
-    "parse_config",
     "ConfigError",
     "DataError",
     "DegenerateGeometryError",
     "InsufficientOverlapError",
     "ParseError",
-    "ErrorHistogram",
-    "PoseErrors",
-    "error_histogram",
-    "evaluate_trajectory",
-    "write_errors_csv",
-    "write_histogram_csv",
-    "PairAngles",
-    "SpfhHistogram",
-    "compute_fpfh",
-    "fpfh_descriptor",
-    "pair_angles",
-    "spfh",
-    "read_ply",
-    "read_poses",
-    "write_ply",
-    "write_poses",
-    "OdometryState",
-    "adaptive_threshold",
-    "combine_scans",
-    "predict_motion",
-    "register_scan",
-    "Cluster",
-    "OccupancyState",
-    "OrientedBox",
-    "ParkingSpace",
-    "euclidean_cluster",
-    "extract_class",
-    "fit_oriented_box",
-    "load_spaces",
-    "points_in_box",
-    "save_spaces",
-    "spaces_from_reference",
-    "update_occupancy",
-    "SCENE_SCHEMA",
-    "PipelineResult",
+    "PipelineConfig",
+    "load_config",
     "PipelineRun",
-    "export_scene",
-    "load_scene",
+    "PipelineResult",
     "run_pipeline",
     "write_synthetic_dataset",
-    "RegistrationResult",
-    "estimate_rigid",
-    "evaluate_alignment",
-    "icp_point_to_plane",
-    "match_fpfh",
-    "ransac_coarse",
-    "SpatialIndex",
     "SceneSpec",
-    "generate_synthetic_scene",
-    "RigidTransform",
-    "Trajectory",
-    "VoxelCell",
-    "VoxelGrid",
-    "cell_statistics",
-    "downsample",
-    "estimate_normal",
-    "voxelize",
 ]

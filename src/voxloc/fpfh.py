@@ -16,12 +16,9 @@ final descriptor re-weights neighbor histograms by inverse distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateGeometryError
 from .spatial import SpatialIndex
 
 BINS_PER_FEATURE = 11
@@ -29,25 +26,11 @@ DESCRIPTOR_SIZE = 3 * BINS_PER_FEATURE
 PARALLEL_TOL = 1e-9  # |d_hat x u| below this means the frame is undefined
 
 
-@dataclass
-class PairAngles:
-    alpha: float
-    phi: float
-    theta: float
-
-
-@dataclass
-class SpfhHistogram:
-    bins: np.ndarray  # (33,) float, each 11-block sums to 1 or is all zero
-    skipped: int = 0  # degenerate pairs left out of the histogram
-
-
 def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.ndarray):
-    """Pair angles of (p, n) against rows of (pts, nrm).
+    """Pair angles of each row of (p, n) against the same row of (pts, nrm).
 
-    ``p`` and ``n`` may be a single point (3,) or per-row arrays matching
-    ``pts``. Returns (alpha, phi, theta, valid); invalid rows are coincident
-    points or pairs whose direction is parallel to the source normal.
+    Returns (alpha, phi, theta, valid); invalid rows are coincident points or
+    pairs whose direction is parallel to the source normal.
     """
     d = pts - p
     dist = np.sqrt((d * d).sum(axis=1))
@@ -60,7 +43,7 @@ def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.nd
     swap = align_i > align_j
 
     u = np.where(swap[:, None], nrm, n)
-    n_target = np.where(swap[:, None], np.broadcast_to(n, nrm.shape), nrm)
+    n_target = np.where(swap[:, None], n, nrm)
     direction = np.where(swap[:, None], -dhat, dhat)
 
     cross = np.cross(direction, u)
@@ -76,100 +59,25 @@ def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.nd
     return alpha, phi, theta, valid
 
 
-def pair_angles(p_i, n_i, p_j, n_j) -> PairAngles:
-    """Darboux-frame angles for a single oriented point pair."""
-    p_i = np.asarray(p_i, dtype=float).reshape(3)
-    n_i = np.asarray(n_i, dtype=float).reshape(3)
-    p_j = np.asarray(p_j, dtype=float).reshape(3)
-    n_j = np.asarray(n_j, dtype=float).reshape(3)
-    alpha, phi, theta, valid = _pair_angles_batch(p_i, n_i, p_j[None], n_j[None])
-    if not valid[0]:
-        if not np.linalg.norm(p_j - p_i) > 0.0:
-            raise ValueError("pair angles are undefined for coincident points")
-        raise DegenerateGeometryError("pair direction is parallel to the source normal")
-    return PairAngles(float(alpha[0]), float(phi[0]), float(theta[0]))
-
-
 def _bin_indices(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     idx = np.floor((values - lo) / (hi - lo) * BINS_PER_FEATURE).astype(np.int64)
     return np.clip(idx, 0, BINS_PER_FEATURE - 1)
 
 
-def _histogram33(alpha, phi, theta, valid) -> tuple[np.ndarray, int]:
-    bins = np.zeros(DESCRIPTOR_SIZE)
-    kept = int(valid.sum())
-    if kept:
-        for block, (values, lo, hi) in enumerate(
-            ((alpha, -1.0, 1.0), (phi, -1.0, 1.0), (theta, -np.pi, np.pi))
-        ):
-            idx = _bin_indices(values[valid], lo, hi)
-            counts = np.bincount(idx, minlength=BINS_PER_FEATURE)
-            bins[block * BINS_PER_FEATURE:(block + 1) * BINS_PER_FEATURE] = counts / kept
-    return bins, int(len(valid) - kept)
-
-
-def spfh(
-    points: np.ndarray,
-    normals: np.ndarray,
-    point_index: int,
-    radius: float,
-    index: SpatialIndex | None = None,
-) -> SpfhHistogram:
-    """Simplified point feature histogram of one point against its radius
-    neighborhood (self excluded). Degenerate pairs are skipped and counted."""
-    points = np.asarray(points, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    if points.shape != normals.shape or points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("points and normals must both be (N, 3)")
-    n_query = normals[point_index]
-    if not np.isfinite(n_query).all() or not np.linalg.norm(n_query) > 0.0:
-        raise ValueError(f"point {point_index} has no usable normal")
-    if index is None:
-        index = SpatialIndex(points)
-    neighbors, _ = index.radius_query(points[point_index], radius)
-    neighbors = neighbors[neighbors != point_index]
-    if neighbors.size == 0:
-        return SpfhHistogram(np.zeros(DESCRIPTOR_SIZE), 0)
-    alpha, phi, theta, valid = _pair_angles_batch(
-        points[point_index], n_query, points[neighbors], normals[neighbors]
-    )
-    bins, skipped = _histogram33(alpha, phi, theta, valid)
-    return SpfhHistogram(bins, skipped)
-
-
-def fpfh_descriptor(
-    points: np.ndarray,
-    spfh_bins: np.ndarray,
-    point_index: int,
-    radius: float,
-    index: SpatialIndex | None = None,
-) -> np.ndarray:
-    """Final descriptor: own SPFH plus the inverse-distance-weighted mean of
-    the neighbors' SPFH blocks. Zero-distance duplicates are dropped."""
-    points = np.asarray(points, dtype=float)
-    spfh_bins = np.asarray(spfh_bins, dtype=float)
-    if spfh_bins.shape != (len(points), DESCRIPTOR_SIZE):
-        raise ValueError("spfh_bins must be (N, 33) aligned with points")
-    if index is None:
-        index = SpatialIndex(points)
-    neighbors, dist = index.radius_query(points[point_index], radius)
-    keep = (neighbors != point_index) & (dist > 0.0)
-    neighbors, dist = neighbors[keep], dist[keep]
-    own = spfh_bins[point_index].copy()
-    if neighbors.size == 0:
-        return own
-    weighted = (spfh_bins[neighbors] / dist[:, None]).sum(axis=0)
-    return own + weighted / len(neighbors)
-
-
 def compute_fpfh(points: np.ndarray, normals: np.ndarray, radius: float) -> np.ndarray:
     """FPFH descriptors for a whole oriented cloud: (N, 33).
 
-    All radius pairs are processed in one flat batch; results match the
-    per-point spfh/fpfh_descriptor path up to summation order.
+    A point's SPFH bins the angles of its valid pairs within radius and
+    divides each 11-bin block by their count. Its descriptor adds the mean,
+    over neighbours at non-zero distance, of their SPFH over that distance.
+    All radius pairs are processed in one flat batch.
     """
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
+    if points.ndim != 2 or points.shape[1:] != (3,) or normals.shape != points.shape:
+        raise ValueError("points and normals must both be (N, 3)")
+    if not (np.linalg.norm(normals, axis=1) > 0.0).all():
+        raise ValueError("every point needs a non-zero normal")
     n = len(points)
     if n == 0:
         return np.empty((0, DESCRIPTOR_SIZE))

@@ -1,8 +1,9 @@
 """File formats: PLY point clouds and plain-text pose trajectories.
 
-PLY support covers ASCII and binary little-endian files with float or double
+read_ply reads ASCII and binary little-endian files with float or double
 x/y/z, optional uchar red/green/blue, and an optional integer ``label``
 property. Unknown vertex properties and non-vertex elements are skipped.
+write_ply writes binary little-endian files with double x/y/z.
 
 Pose files carry one pose per line: 12 whitespace-separated numbers, the
 row-major 3x4 matrix [R | t].
@@ -30,7 +31,6 @@ _PLY_TYPES = {
     "float": "f4", "float32": "f4",
     "double": "f8", "float64": "f8",
 }
-_INT_TYPES = {"i1", "u1", "i2", "u2", "i4", "u4"}
 
 # rotation checks used by read_poses
 _POSE_KEEP_TOL = 1e-9   # below: accept as stored
@@ -52,23 +52,30 @@ class _Element:
 
 
 def _parse_header(raw: bytes):
-    """Parse the PLY header; returns (format, elements, data offset, line count)."""
-    end = raw.find(b"end_header")
-    if end < 0:
-        raise ParseError("missing end_header")
-    newline = raw.find(b"\n", end)
-    if newline < 0:
-        raise ParseError("end_header line is not terminated")
-    header_text = raw[:newline].decode("ascii", errors="replace")
-    lines = header_text.splitlines()
+    """Parse the PLY header; returns (format, elements, data offset, line count).
 
-    if not lines or lines[0].strip() != "ply":
-        raise ParseError("first line must be 'ply'", line=1)
-
+    The header ends at the first line whose only token is ``end_header``.
+    """
     fmt = None
     elements: list[_Element] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    offset = 0
+    lineno = 0
+    while True:
+        newline = raw.find(b"\n", offset)
+        if newline < 0:
+            if raw[offset:].split() == [b"end_header"]:
+                raise ParseError("end_header line is not terminated")
+            raise ParseError("missing end_header")
+        line = raw[offset:newline].decode("ascii", errors="replace")
+        offset = newline + 1
+        lineno += 1
         tokens = line.split()
+        if lineno == 1:
+            if tokens != ["ply"]:
+                raise ParseError("first line must be 'ply'", line=1)
+            continue
+        if tokens == ["end_header"]:
+            break
         if not tokens or tokens[0] in ("comment", "obj_info"):
             continue
         keyword = tokens[0]
@@ -103,14 +110,12 @@ def _parse_header(raw: bytes):
                 )
             else:
                 raise ParseError(f"bad property line: {line.strip()!r}", line=lineno)
-        elif keyword == "end_header":
-            break
         else:
             raise ParseError(f"unknown header keyword {keyword!r}", line=lineno)
 
     if fmt is None:
         raise ParseError("header has no format line")
-    return fmt, elements, newline + 1, len(lines)
+    return fmt, elements, offset, lineno
 
 
 def _vertex_arrays(element: _Element, table: dict[str, np.ndarray]):
@@ -158,7 +163,9 @@ def _read_ascii(body: str, elements: list[_Element], header_lines: int) -> Point
         names = [p.name for p in element.properties]
         width = len(names)
         try:
-            data = np.loadtxt(_stdio.StringIO("\n".join(rows)), dtype=np.float64, ndmin=2)
+            data = np.empty((0, width))  # loadtxt warns on no rows
+            if element.count:
+                data = np.loadtxt(_stdio.StringIO("\n".join(rows)), dtype=np.float64, ndmin=2)
             if data.shape != (element.count, width):
                 raise ValueError
         except ValueError:
@@ -185,16 +192,24 @@ def _item_dtype(element: _Element) -> np.dtype:
 
 
 def _skip_binary_element(raw: bytes, offset: int, element: _Element) -> int:
+    """Offset just past an element's data; ParseError if the file ends first."""
     if not any(p.list_count for p in element.properties):
-        return offset + element.count * _item_dtype(element).itemsize
-    for _ in range(element.count):
-        for prop in element.properties:
-            if prop.list_count is None:
-                offset += np.dtype(prop.dtype).itemsize
-            else:
+        offset += element.count * _item_dtype(element).itemsize
+    else:
+        for _ in range(element.count):
+            for prop in element.properties:
+                if prop.list_count is None:
+                    offset += np.dtype(prop.dtype).itemsize
+                    continue
                 count_dtype = np.dtype("<" + prop.list_count)
+                if offset + count_dtype.itemsize > len(raw):
+                    raise ParseError(f"element {element.name!r} runs past the end of the file")
                 count = int(np.frombuffer(raw, count_dtype, 1, offset)[0])
+                if count < 0:
+                    raise ParseError(f"negative list length in element {element.name!r}")
                 offset += count_dtype.itemsize + count * np.dtype(prop.dtype).itemsize
+    if offset > len(raw):
+        raise ParseError(f"element {element.name!r} runs past the end of the file")
     return offset
 
 
@@ -226,45 +241,29 @@ def read_ply(path: str | Path) -> PointCloud:
     return _read_binary(raw, data_offset, elements)
 
 
-def write_ply(path: str | Path, cloud: PointCloud, binary: bool = True) -> None:
-    """Write a PLY file; binary mode preserves positions bit-exactly."""
-    path = Path(path)
+def write_ply(path: str | Path, cloud: PointCloud) -> None:
+    """Write a binary little-endian PLY file; positions are kept bit-exactly."""
     n = len(cloud)
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
     header += ["property double x", "property double y", "property double z"]
+    spec = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
     if cloud.colors is not None:
         header += ["property uchar red", "property uchar green", "property uchar blue"]
+        spec += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
     if cloud.labels is not None:
         header += ["property int label"]
+        spec += [("label", "<i4")]
     header += ["end_header", ""]
 
-    if binary:
-        spec = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
-        if cloud.colors is not None:
-            spec += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-        if cloud.labels is not None:
-            spec += [("label", "<i4")]
-        records = np.empty(n, dtype=np.dtype(spec))
-        records["x"], records["y"], records["z"] = cloud.points.T
-        if cloud.colors is not None:
-            records["red"], records["green"], records["blue"] = cloud.colors.T
-        if cloud.labels is not None:
-            records["label"] = cloud.labels
-        with path.open("wb") as fh:
-            fh.write("\n".join(header).encode("ascii"))
-            fh.write(records.tobytes())
-        return
-
-    with path.open("w") as fh:
-        fh.write("\n".join(header))
-        for i in range(n):
-            row = [format(v, ".17g") for v in cloud.points[i]]
-            if cloud.colors is not None:
-                row += [str(int(v)) for v in cloud.colors[i]]
-            if cloud.labels is not None:
-                row += [str(int(cloud.labels[i]))]
-            fh.write(" ".join(row) + "\n")
+    records = np.empty(n, dtype=np.dtype(spec))
+    records["x"], records["y"], records["z"] = cloud.points.T
+    if cloud.colors is not None:
+        records["red"], records["green"], records["blue"] = cloud.colors.T
+    if cloud.labels is not None:
+        records["label"] = cloud.labels
+    with Path(path).open("wb") as fh:
+        fh.write("\n".join(header).encode("ascii"))
+        fh.write(records.tobytes())
 
 
 def read_poses(path: str | Path) -> Trajectory:

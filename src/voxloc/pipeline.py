@@ -53,70 +53,6 @@ _ANCHOR_RADIUS_CAP = 20.0  # beyond this the anchor centroid barely moves
 WHOLE_CLOUD_SCALE = 5.0
 WHOLE_CLOUD_MAX_ITERATIONS = 200
 
-SCENE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["voxel_size", "voxels", "boxes"],
-    "additionalProperties": False,
-    "properties": {
-        "voxel_size": {"type": "number", "exclusiveMinimum": 0},
-        "voxels": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["key", "center", "color"],
-                "additionalProperties": False,
-                "properties": {
-                    "key": {
-                        "type": "array",
-                        "items": {"type": "integer"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                    "center": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                    "color": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0, "maximum": 255},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                },
-            },
-        },
-        "boxes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "centroid", "dims", "yaw", "state"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "integer", "minimum": 0},
-                    "centroid": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                    "dims": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                    "yaw": {"type": "number"},
-                    "state": {"enum": ["occupied", "vacant"]},
-                },
-            },
-        },
-    },
-}
-
-
 class PipelineInputError(ValueError):
     """An input file is missing, unreadable, or inconsistent."""
 
@@ -190,31 +126,6 @@ def export_scene(grid: VoxelGrid, spaces: list[ParkingSpace], path: str | Path) 
     with open(path, "w", encoding="ascii") as handle:
         json.dump(document, handle, sort_keys=True)
         handle.write("\n")
-
-
-def load_scene(path: str | Path) -> dict:
-    """Parse a scene document back, checking its basic shape."""
-    with open(path, "r", encoding="ascii") as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc.msg), line=exc.lineno) from exc
-    if not isinstance(document, dict):
-        raise DataError("scene document must be a JSON object")
-    for key in ("voxel_size", "voxels", "boxes"):
-        if key not in document:
-            raise DataError(f"scene document lacks '{key}'")
-    if not isinstance(document["voxels"], list) or not isinstance(document["boxes"], list):
-        raise DataError("'voxels' and 'boxes' must be arrays")
-    for entry in document["voxels"]:
-        for key in ("key", "center", "color"):
-            if key not in entry:
-                raise DataError(f"voxel entry lacks '{key}'")
-    for entry in document["boxes"]:
-        for key in ("id", "centroid", "dims", "yaw", "state"):
-            if key not in entry:
-                raise DataError(f"box entry lacks '{key}'")
-    return document
 
 
 def two_level_grids(cloud: PointCloud, config: PipelineConfig) -> tuple[VoxelGrid, VoxelGrid]:

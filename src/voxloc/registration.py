@@ -92,19 +92,18 @@ def match_fpfh(source_desc: np.ndarray, target_desc: np.ndarray):
 
 def evaluate_alignment(
     source: PointCloud,
-    target: PointCloud | SpatialIndex,
+    target: SpatialIndex,
     transform: RigidTransform,
     threshold: float,
 ) -> tuple[float, float]:
-    """Fraction of transformed source points with a target neighbor within
-    threshold, and the RMSE of those inlier distances."""
+    """Fraction of transformed source points with a neighbor in the target
+    index within threshold, and the RMSE of those inlier distances."""
     if not threshold > 0:
         raise ValueError("threshold must be strictly positive")
     if len(source) == 0:
         return 0.0, 0.0
-    index = target if isinstance(target, SpatialIndex) else SpatialIndex(target.points)
     moved = transform.apply(source.points)
-    _, dist = index.nearest(moved)
+    _, dist = target.nearest(moved)
     inlier = dist <= threshold
     fitness = float(inlier.mean())
     if not inlier.any():

@@ -89,13 +89,6 @@ class RigidTransform:
     def identity(cls) -> RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> RigidTransform:
-        m = np.asarray(matrix, dtype=float)
-        if m.shape not in ((3, 4), (4, 4)):
-            raise ValueError("expected a 3x4 or 4x4 matrix")
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation

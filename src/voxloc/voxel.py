@@ -7,8 +7,6 @@ at zero. Each occupied cell carries its point count, mean, sample covariance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cloud import PointCloud
@@ -18,39 +16,6 @@ VoxelKey = tuple[int, int, int]
 EIGENGAP_TOL = 1e-12  # below this the normal direction is ill-defined
 
 _COV_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-@dataclass(eq=False)
-class VoxelCell:
-    count: int
-    mean: np.ndarray
-    covariance: np.ndarray | None = None
-    normal: np.ndarray | None = None
-    color: np.ndarray | None = None
-
-
-def cell_statistics(points: np.ndarray, colors: np.ndarray | None = None) -> VoxelCell:
-    """Statistics of one cell's points: mean, sample covariance, mean color.
-
-    Covariance uses the 1/(n-1) normalization and is only defined for n >= 3.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError("expected a non-empty (N, 3) array")
-    n = len(pts)
-    mean = pts.sum(axis=0) / n
-    covariance = None
-    if n >= 3:
-        centered = pts - mean
-        covariance = centered.T @ centered / (n - 1)
-        covariance = 0.5 * (covariance + covariance.T)
-    color = None
-    if colors is not None:
-        c = np.asarray(colors, dtype=float)
-        if c.shape != (n, 3):
-            raise ValueError("colors must match points")
-        color = np.rint(c.sum(axis=0) / n).astype(np.uint8)
-    return VoxelCell(count=n, mean=mean, covariance=covariance, color=color)
 
 
 def _orient_normals(normals: np.ndarray, means: np.ndarray, viewpoint: np.ndarray | None) -> np.ndarray:
@@ -90,27 +55,11 @@ def _normals_from_covariances(
     return normals, defined
 
 
-def estimate_normal(cell: VoxelCell, viewpoint: np.ndarray | None = None) -> np.ndarray | None:
-    """Unit normal of a cell, or None when it is not defined.
-
-    The normal is the eigenvector of the smallest covariance eigenvalue. It is
-    absent when the cell has no covariance or the two smallest eigenvalues
-    differ by less than 1e-12.
-    """
-    if cell.covariance is None:
-        return None
-    normals, defined = _normals_from_covariances(
-        cell.covariance[None], cell.mean[None], viewpoint
-    )
-    return normals[0] if defined[0] else None
-
-
 class VoxelGrid:
     """Sparse mapping from integer voxel keys to cell statistics.
 
-    Cell data is stored columnar for vectorized access; ``cells`` materializes
-    the per-cell view. Iteration order is the build order (sorted keys from
-    voxelize, then insertion batches).
+    Cell data is stored columnar, one row per cell, in build order: sorted
+    keys from voxelize, then new cells of each insertion batch.
     """
 
     def __init__(self, voxel_size: float):
@@ -136,12 +85,6 @@ class VoxelGrid:
         if self._rows is None:
             self._rows = {k: i for i, k in enumerate(map(tuple, self._keys.tolist()))}
         return self._rows
-
-    def __contains__(self, key: VoxelKey) -> bool:
-        return tuple(key) in self._row_map()
-
-    def keys(self):
-        return self._row_map().keys()
 
     @property
     def counts(self) -> np.ndarray:
@@ -180,26 +123,6 @@ class VoxelGrid:
             return None
         return np.rint(self._color_sums / self._counts[:, None]).astype(np.uint8)
 
-    def cell(self, key: VoxelKey) -> VoxelCell:
-        row = self._row_map()[tuple(key)]
-        color = None
-        if self._color_sums is not None:
-            color = np.rint(self._color_sums[row] / self._counts[row]).astype(np.uint8)
-        return VoxelCell(
-            count=int(self._counts[row]),
-            mean=self._sums[row] / self._counts[row],
-            covariance=self._cov[row].copy() if self._has_cov[row] else None,
-            normal=self._normals[row].copy() if self._has_normal[row] else None,
-            color=color,
-        )
-
-    @property
-    def cells(self) -> dict[VoxelKey, VoxelCell]:
-        return {key: self.cell(key) for key in self._row_map()}
-
-    def total_count(self) -> int:
-        return int(self._counts.sum())
-
     # -- construction -------------------------------------------------------
 
     def _append_rows(self, keys, counts, sums, color_sums) -> None:
@@ -222,8 +145,9 @@ class VoxelGrid:
     def insert(self, points: np.ndarray) -> None:
         """Merge points into the grid, updating counts and means.
 
-        Covariances, normals, and colors of touched cells are cleared; this
-        path exists for map accumulation, where only means are consumed.
+        Covariances and normals of touched cells are cleared, and the colors
+        of the whole grid are dropped; this path exists for map accumulation,
+        where only means are consumed.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:

@@ -1,17 +1,13 @@
-"""Feature histogram tests against hand-evaluated and brute-force oracles."""
+"""Feature histogram tests against hand-evaluated and brute-force oracles.
+
+The pair-angle cases run on the batch helper that compute_fpfh uses; the
+SPFH and weighting cases read rows of compute_fpfh.
+"""
 
 import numpy as np
 import pytest
 
-from voxloc.errors import DegenerateGeometryError
-from voxloc.fpfh import (
-    BINS_PER_FEATURE,
-    DESCRIPTOR_SIZE,
-    compute_fpfh,
-    fpfh_descriptor,
-    pair_angles,
-    spfh,
-)
+from voxloc.fpfh import BINS_PER_FEATURE, DESCRIPTOR_SIZE, _pair_angles_batch, compute_fpfh
 from voxloc.transform import rotation_exp
 
 
@@ -85,161 +81,169 @@ def _random_oriented_cloud(rng, n, scale=2.0):
     return points, normals
 
 
+def _angles(p_i, n_i, p_j, n_j):
+    """_pair_angles_batch on a single pair: (alpha, phi, theta, valid)."""
+    rows = [np.asarray(v, dtype=float).reshape(1, 3) for v in (p_i, n_i, p_j, n_j)]
+    return tuple(out[0] for out in _pair_angles_batch(*rows))
+
+
+def _random_pairs(rng, n):
+    """n random oriented pairs as (p_i, n_i, p_j, n_j), one row per pair."""
+    points, normals = _random_oriented_cloud(rng, 2 * n)
+    return points[0::2], normals[0::2], points[1::2], normals[1::2]
+
+
+def _one_hot(alpha, phi, theta):
+    """SPFH of a point with a single valid pair of these angles."""
+    bins = np.zeros(DESCRIPTOR_SIZE)
+    bins[_bin11(alpha, -1.0, 1.0)] = 1.0
+    bins[BINS_PER_FEATURE + _bin11(phi, -1.0, 1.0)] = 1.0
+    bins[2 * BINS_PER_FEATURE + _bin11(theta, -np.pi, np.pi)] = 1.0
+    return bins
+
+
+_UP = (0.0, 0.0, 1.0)
+
+
 class TestPairAngles:
     def test_coplanar_parallel_normals(self):
-        a = pair_angles((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 0, 1))
-        assert a.alpha == pytest.approx(0.0, abs=1e-15)
-        assert a.phi == pytest.approx(0.0, abs=1e-15)
-        assert a.theta == pytest.approx(0.0, abs=1e-15)
+        alpha, phi, theta, valid = _angles((0, 0, 0), _UP, (1, 0, 0), _UP)
+        assert valid
+        assert alpha == pytest.approx(0.0, abs=1e-15)
+        assert phi == pytest.approx(0.0, abs=1e-15)
+        assert theta == pytest.approx(0.0, abs=1e-15)
 
     def test_perpendicular_target_normal(self):
-        a = pair_angles((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 0))
-        assert a.alpha == pytest.approx(0.0, abs=1e-15)
-        assert a.phi == pytest.approx(0.0, abs=1e-15)
-        assert a.theta == pytest.approx(np.pi / 2.0, abs=1e-15)
+        alpha, phi, theta, valid = _angles((0, 0, 0), _UP, (1, 0, 0), (1, 0, 0))
+        assert valid
+        assert alpha == pytest.approx(0.0, abs=1e-15)
+        assert phi == pytest.approx(0.0, abs=1e-15)
+        assert theta == pytest.approx(np.pi / 2.0, abs=1e-15)
 
     def test_swap_picks_less_aligned_source(self):
         # n_i parallel to the pair direction, so the roles must swap
-        a = pair_angles((0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 0, 1))
-        assert a.alpha == pytest.approx(0.0, abs=1e-15)
-        assert a.phi == pytest.approx(0.0, abs=1e-15)
-        assert a.theta == pytest.approx(-np.pi / 2.0, abs=1e-15)
+        alpha, phi, theta, valid = _angles((0, 0, 0), (1, 0, 0), (1, 0, 0), _UP)
+        assert valid
+        assert alpha == pytest.approx(0.0, abs=1e-15)
+        assert phi == pytest.approx(0.0, abs=1e-15)
+        assert theta == pytest.approx(-np.pi / 2.0, abs=1e-15)
 
     def test_matches_scalar_oracle(self, rng):
-        for _ in range(200):
-            (p_i, p_j), (n_i, n_j) = _random_oriented_cloud(rng, 2)
-            a = pair_angles(p_i, n_i, p_j, n_j)
-            alpha, phi, theta = _angles_oracle(p_i, n_i, p_j, n_j)
-            assert a.alpha == pytest.approx(alpha, abs=1e-12)
-            assert a.phi == pytest.approx(phi, abs=1e-12)
-            assert a.theta == pytest.approx(theta, abs=1e-12)
+        p_i, n_i, p_j, n_j = _random_pairs(rng, 200)
+        alpha, phi, theta, valid = _pair_angles_batch(p_i, n_i, p_j, n_j)
+        assert valid.all()
+        for row in range(200):
+            want = _angles_oracle(p_i[row], n_i[row], p_j[row], n_j[row])
+            np.testing.assert_allclose((alpha[row], phi[row], theta[row]), want, atol=1e-12)
 
     def test_ranges(self, rng):
-        for _ in range(300):
-            (p_i, p_j), (n_i, n_j) = _random_oriented_cloud(rng, 2)
-            a = pair_angles(p_i, n_i, p_j, n_j)
-            assert -1.0 <= a.alpha <= 1.0
-            assert -1.0 <= a.phi <= 1.0
-            assert -np.pi < a.theta <= np.pi
+        alpha, phi, theta, valid = _pair_angles_batch(*_random_pairs(rng, 300))
+        assert valid.all()
+        assert ((-1.0 <= alpha) & (alpha <= 1.0)).all()
+        assert ((-1.0 <= phi) & (phi <= 1.0)).all()
+        assert ((-np.pi < theta) & (theta <= np.pi)).all()
 
     def test_symmetric_under_argument_order(self, rng):
-        for _ in range(100):
-            (p_i, p_j), (n_i, n_j) = _random_oriented_cloud(rng, 2)
-            a = pair_angles(p_i, n_i, p_j, n_j)
-            b = pair_angles(p_j, n_j, p_i, n_i)
-            assert a.alpha == pytest.approx(b.alpha, abs=1e-12)
-            assert a.phi == pytest.approx(b.phi, abs=1e-12)
-            assert a.theta == pytest.approx(b.theta, abs=1e-12)
+        p_i, n_i, p_j, n_j = _random_pairs(rng, 100)
+        forward = _pair_angles_batch(p_i, n_i, p_j, n_j)
+        backward = _pair_angles_batch(p_j, n_j, p_i, n_i)
+        for a, b in zip(forward[:3], backward[:3]):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_coincident_points_raise(self):
-        with pytest.raises(ValueError):
-            pair_angles((1, 2, 3), (0, 0, 1), (1, 2, 3), (0, 0, 1))
+    def test_coincident_points_are_invalid(self):
+        assert not _angles((1, 2, 3), _UP, (1, 2, 3), _UP)[3]
 
-    def test_direction_parallel_to_both_normals_raises(self):
-        with pytest.raises(DegenerateGeometryError):
-            pair_angles((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0))
+    def test_direction_parallel_to_both_normals_is_invalid(self):
+        assert not _angles((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0))[3]
 
 
 class TestSpfh:
+    """The SPFH stage, read from rows of compute_fpfh."""
+
     def test_no_neighbors_all_zero(self):
         points = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-        normals = np.tile([0.0, 0.0, 1.0], (2, 1))
-        hist = spfh(points, normals, 0, radius=1.0)
-        np.testing.assert_array_equal(hist.bins, np.zeros(DESCRIPTOR_SIZE))
-        assert hist.skipped == 0
+        normals = np.tile(_UP, (2, 1))
+        out = compute_fpfh(points, normals, radius=1.0)
+        np.testing.assert_array_equal(out, np.zeros((2, DESCRIPTOR_SIZE)))
 
     def test_flat_plane_concentrates_alpha_and_phi_at_zero(self, rng):
         xy = rng.uniform(-1.0, 1.0, size=(60, 2))
         points = np.column_stack([xy, np.zeros(60)])
-        normals = np.tile([0.0, 0.0, 1.0], (60, 1))
-        hist = spfh(points, normals, 0, radius=3.0)
+        normals = np.tile(_UP, (60, 1))
+        out = compute_fpfh(points, normals, radius=3.0)
         zero_bin = _bin11(0.0, -1.0, 1.0)
-        assert hist.bins[zero_bin] == pytest.approx(1.0)
-        assert hist.bins[BINS_PER_FEATURE + zero_bin] == pytest.approx(1.0)
+        for block in (0, 1):
+            bins = out[:, block * BINS_PER_FEATURE:(block + 1) * BINS_PER_FEATURE]
+            assert (bins[:, zero_bin] > 0.0).all()
+            assert np.count_nonzero(bins) == len(points)
 
-    def test_blocks_sum_to_one(self, rng):
+    def test_blocks_sum_to_one_plus_mean_inverse_distance(self, rng):
+        # every SPFH block sums to one, so each descriptor block sums to
+        # 1 + the mean inverse distance of the point's neighbours
         points, normals = _random_oriented_cloud(rng, 40)
-        hist = spfh(points, normals, 3, radius=2.5)
-        for block in range(3):
-            s = hist.bins[block * BINS_PER_FEATURE:(block + 1) * BINS_PER_FEATURE].sum()
-            assert s == pytest.approx(1.0, abs=1e-9)
+        radius = 2.5
+        out = compute_fpfh(points, normals, radius)
+        for i in range(len(points)):
+            dist = np.linalg.norm(points - points[i], axis=1)
+            near = dist[(dist > 0.0) & (dist <= radius)]
+            assert len(near)
+            for block in range(3):
+                s = out[i, block * BINS_PER_FEATURE:(block + 1) * BINS_PER_FEATURE].sum()
+                assert s == pytest.approx(1.0 + np.mean(1.0 / near), abs=1e-9)
 
-    def test_matches_brute_force_oracle(self, rng):
-        points, normals = _random_oriented_cloud(rng, 50)
-        for i in (0, 7, 23, 49):
-            hist = spfh(points, normals, i, radius=1.5)
-            np.testing.assert_allclose(hist.bins, _spfh_oracle(points, normals, i, 1.5), atol=1e-12)
-
-    def test_duplicate_neighbor_is_skipped_and_counted(self):
+    def test_duplicate_neighbor_is_skipped(self):
+        # point 0's pair with its duplicate has no angles: its SPFH holds the
+        # one pair with point 2 at full weight, not half of it
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        normals = np.tile([0.0, 0.0, 1.0], (3, 1))
-        hist = spfh(points, normals, 0, radius=2.0)
-        assert hist.skipped == 1
-        assert hist.bins.sum() == pytest.approx(3.0)  # one valid pair, three blocks
+        normals = np.tile(_UP, (3, 1))
+        out = compute_fpfh(points, normals, radius=2.0)
+        np.testing.assert_allclose(out[0], 2.0 * _one_hot(0.0, 0.0, 0.0), atol=1e-15)
+        assert out[0].sum() == pytest.approx(6.0)  # own SPFH plus point 2's, three blocks
 
     def test_missing_normal_raises(self):
         points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         normals = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
-            spfh(points, normals, 0, radius=2.0)
+            compute_fpfh(points, normals, radius=2.0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            spfh(np.zeros((3, 3)), np.zeros((2, 3)), 0, radius=1.0)
+            compute_fpfh(np.zeros((3, 3)), np.zeros((2, 3)), radius=1.0)
 
 
 class TestFpfhDescriptor:
+    """The inverse-distance weighting stage, read from rows of compute_fpfh."""
+
     def test_isolated_point_keeps_its_spfh(self, rng):
-        points = np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])
-        bins = rng.random((2, DESCRIPTOR_SIZE))
-        out = fpfh_descriptor(points, bins, 0, radius=1.0)
-        np.testing.assert_array_equal(out, bins[0])
+        points, normals = _random_oriented_cloud(rng, 20, scale=0.5)
+        points = np.vstack([points, [50.0, 0.0, 0.0]])
+        normals = np.vstack([normals, _UP])
+        out = compute_fpfh(points, normals, radius=1.0)
+        np.testing.assert_array_equal(out[-1], np.zeros(DESCRIPTOR_SIZE))
+        assert (out[:-1].sum(axis=1) > 0.0).all()
 
     def test_two_points_at_distance_two(self):
         points = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        a = np.arange(DESCRIPTOR_SIZE, dtype=float)
-        b = np.ones(DESCRIPTOR_SIZE)
-        bins = np.vstack([a, b])
-        out = fpfh_descriptor(points, bins, 0, radius=3.0)
-        np.testing.assert_allclose(out, a + 0.5 * b, atol=1e-15)
+        normals = np.array([_UP, [0.0, 0.6, 0.8]])
+        out = compute_fpfh(points, normals, radius=3.0)
+        # both points share one pair, so both SPFH are its one-hot bins
+        spfh = _one_hot(*_angles_oracle(points[0], normals[0], points[1], normals[1]))
+        np.testing.assert_allclose(out[0], spfh + 0.5 * spfh, atol=1e-15)
+        np.testing.assert_allclose(out[1], out[0], atol=1e-15)
 
     def test_zero_distance_neighbor_dropped(self):
-        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        bins = np.vstack([
-            np.zeros(DESCRIPTOR_SIZE),
-            np.full(DESCRIPTOR_SIZE, 100.0),
-            np.ones(DESCRIPTOR_SIZE),
-        ])
-        out = fpfh_descriptor(points, bins, 0, radius=2.0)
-        np.testing.assert_allclose(out, np.ones(DESCRIPTOR_SIZE))
-
-    def test_matches_brute_force_oracle(self, rng):
-        points, normals = _random_oriented_cloud(rng, 200)
-        radius = 1.2
-        spfh_all = np.array([_spfh_oracle(points, normals, i, radius) for i in range(200)])
-        expected = _fpfh_oracle(points, normals, radius)
-        for i in (0, 31, 99, 150, 199):
-            out = fpfh_descriptor(points, spfh_all, i, radius)
-            np.testing.assert_allclose(out, expected[i], atol=1e-10)
-
-    def test_bad_spfh_shape_raises(self):
-        with pytest.raises(ValueError):
-            fpfh_descriptor(np.zeros((3, 3)), np.zeros((3, 5)), 0, radius=1.0)
+        # the duplicate of point 0 neither enters the weighted mean nor its
+        # count: point 0 gets its SPFH plus half of point 2's
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        normals = np.tile(_UP, (3, 1))
+        out = compute_fpfh(points, normals, radius=3.0)
+        np.testing.assert_allclose(out[0], 1.5 * _one_hot(0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestComputeFpfh:
     def test_empty_cloud(self):
         out = compute_fpfh(np.empty((0, 3)), np.empty((0, 3)), 1.0)
         assert out.shape == (0, DESCRIPTOR_SIZE)
-
-    def test_matches_per_point_path(self, rng):
-        points, normals = _random_oriented_cloud(rng, 80)
-        radius = 1.5
-        batch = compute_fpfh(points, normals, radius)
-        spfh_all = np.array([spfh(points, normals, i, radius).bins for i in range(80)])
-        for i in range(80):
-            single = fpfh_descriptor(points, spfh_all, i, radius)
-            np.testing.assert_allclose(batch[i], single, atol=1e-9)
 
     def test_matches_brute_force_oracle(self, rng):
         points, normals = _random_oriented_cloud(rng, 60)

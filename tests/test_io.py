@@ -14,6 +14,17 @@ def _random_rotation(rng):
     return rotation_exp(rng.normal(size=3))
 
 
+_XYZ_HEADER = (
+    "ply\n"
+    "format {fmt} 1.0\n"
+    "element vertex {count}\n"
+    "property double x\n"
+    "property double y\n"
+    "property double z\n"
+    "end_header\n"
+)
+
+
 # -- PLY ---------------------------------------------------------------------
 
 
@@ -83,7 +94,7 @@ def test_binary_roundtrip_positions_bit_exact(tmp_path, rng):
     labels = rng.integers(0, 5, size=10_000, dtype=np.int32)
     cloud = PointCloud(pts, colors, labels)
     path = tmp_path / "round.ply"
-    write_ply(path, cloud, binary=True)
+    write_ply(path, cloud)
     back = read_ply(path)
     assert np.array_equal(back.points, pts)  # bit-exact, no tolerance
     np.testing.assert_array_equal(back.colors, colors)
@@ -92,8 +103,9 @@ def test_binary_roundtrip_positions_bit_exact(tmp_path, rng):
 
 def test_ascii_roundtrip_within_printed_precision(tmp_path, rng):
     pts = rng.normal(size=(50, 3))
+    rows = "".join(" ".join(format(v, ".17g") for v in p) + "\n" for p in pts)
     path = tmp_path / "ascii.ply"
-    write_ply(path, PointCloud(pts), binary=False)
+    path.write_text(_XYZ_HEADER.format(fmt="ascii", count=len(pts)) + rows)
     back = read_ply(path)
     np.testing.assert_allclose(back.points, pts, atol=1e-15, rtol=1e-15)
 
@@ -107,9 +119,10 @@ def test_empty_cloud_roundtrip(tmp_path):
 def test_labels_written_as_vertex_property(tmp_path):
     path = tmp_path / "lab.ply"
     cloud = PointCloud(np.zeros((2, 3)), labels=np.array([1, 4]))
-    write_ply(path, cloud, binary=False)
-    header = path.read_text().split("end_header")[0]
-    assert "label" in header
+    write_ply(path, cloud)
+    header = path.read_bytes().split(b"end_header")[0]
+    assert b"property int label" in header
+    np.testing.assert_array_equal(read_ply(path).labels, [1, 4])
 
 
 def test_malformed_header_reports_line(tmp_path):
@@ -130,6 +143,67 @@ def test_not_a_ply_rejected(tmp_path):
     path.write_text("solid something\nend_header\n")
     with pytest.raises(ParseError):
         read_ply(path)
+
+
+def test_truncated_element_before_vertex_is_a_parse_error(tmp_path):
+    # a face list declared before the vertices, its data cut short
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        "element face 2\n"
+        "property list uchar int vertex_indices\n"
+        "element vertex 1\n"
+        "property double x\n"
+        "property double y\n"
+        "property double z\n"
+        "end_header\n"
+    )
+    face = bytes([3]) + np.arange(3, dtype="<i4").tobytes()
+    for data in (face, face + bytes([200]), face[:5]):
+        path = tmp_path / "cut.ply"
+        path.write_bytes(header.encode("ascii") + data)
+        with pytest.raises(ParseError, match="face"):
+            read_ply(path)
+
+
+def test_negative_list_length_is_a_parse_error(tmp_path):
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        "element face 1\n"
+        "property list char int vertex_indices\n"
+        "element vertex 0\n"
+        "property double x\n"
+        "property double y\n"
+        "property double z\n"
+        "end_header\n"
+    )
+    path = tmp_path / "negative.ply"
+    path.write_bytes(header.encode("ascii") + np.int8(-2).tobytes() + bytes(16))
+    with pytest.raises(ParseError, match="negative"):
+        read_ply(path)
+
+
+def test_end_header_inside_a_comment_does_not_end_the_header(tmp_path):
+    pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    header = _XYZ_HEADER.format(fmt="binary_little_endian", count=2).replace(
+        "ply\n", "ply\ncomment written before end_header was known\n", 1
+    )
+    path = tmp_path / "comment.ply"
+    path.write_bytes(header.encode("ascii") + pts.astype("<f8").tobytes())
+    assert np.array_equal(read_ply(path).points, pts)
+
+
+def test_zero_vertices_read_alike_in_both_formats(tmp_path):
+    clouds = []
+    for fmt in ("ascii", "binary_little_endian"):
+        path = tmp_path / f"{fmt}.ply"
+        path.write_text(_XYZ_HEADER.format(fmt=fmt, count=0))
+        clouds.append(read_ply(path))
+    for cloud in clouds:
+        assert cloud.points.shape == (0, 3)
+        assert cloud.colors is None
+        assert cloud.labels is None
 
 
 def test_nonfinite_coordinate_rejected(tmp_path):

@@ -16,17 +16,15 @@ from voxloc import pipeline as pipeline_module
 from voxloc.cli import main
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig, config_hash
-from voxloc.errors import DataError, ParseError
+from voxloc.errors import DataError
 from voxloc.io import read_ply, read_poses, write_ply
 from voxloc.odometry import combine_scans
 from voxloc.parking import OccupancyState, OrientedBox, ParkingSpace
 from voxloc.pipeline import (
-    SCENE_SCHEMA,
     PipelineRun,
     coarse_features,
     export_scene,
     list_scan_files,
-    load_scene,
     refine_scans,
     run_pipeline,
     two_level_grids,
@@ -44,6 +42,76 @@ _SMALL_SPEC = SceneSpec(
     surface_density=150.0,
     bend_degrees=0.0,
 )
+
+
+# what export_scene writes; jsonschema is a test dependency only
+SCENE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["voxel_size", "voxels", "boxes"],
+    "additionalProperties": False,
+    "properties": {
+        "voxel_size": {"type": "number", "exclusiveMinimum": 0},
+        "voxels": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["key", "center", "color"],
+                "additionalProperties": False,
+                "properties": {
+                    "key": {
+                        "type": "array",
+                        "items": {"type": "integer"},
+                        "minItems": 3,
+                        "maxItems": 3,
+                    },
+                    "center": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 3,
+                        "maxItems": 3,
+                    },
+                    "color": {
+                        "type": "array",
+                        "items": {"type": "integer", "minimum": 0, "maximum": 255},
+                        "minItems": 3,
+                        "maxItems": 3,
+                    },
+                },
+            },
+        },
+        "boxes": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["id", "centroid", "dims", "yaw", "state"],
+                "additionalProperties": False,
+                "properties": {
+                    "id": {"type": "integer", "minimum": 0},
+                    "centroid": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 3,
+                        "maxItems": 3,
+                    },
+                    "dims": {
+                        "type": "array",
+                        "items": {"type": "number", "minimum": 0},
+                        "minItems": 3,
+                        "maxItems": 3,
+                    },
+                    "yaw": {"type": "number"},
+                    "state": {"enum": ["occupied", "vacant"]},
+                },
+            },
+        },
+    },
+}
+
+
+def _load_scene(path):
+    with open(path, encoding="ascii") as handle:
+        return json.load(handle)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +167,7 @@ class TestExportScene:
         grid = voxelize(PointCloud(np.array([[0.2, 0.3, 0.4]])), 1.0)
         path = tmp_path / "scene.json"
         export_scene(grid, [], path)
-        doc = load_scene(path)
+        doc = _load_scene(path)
         assert doc["voxel_size"] == 1.0
         assert len(doc["voxels"]) == 1
         assert doc["voxels"][0]["key"] == [0, 0, 0]
@@ -116,7 +184,7 @@ class TestExportScene:
             spaces.append(ParkingSpace(i, box, state))
         path = tmp_path / "scene.json"
         export_scene(grid, spaces, path)
-        doc = load_scene(path)
+        doc = _load_scene(path)
         states = [b["state"] for b in doc["boxes"]]
         assert states.count("vacant") == 3
         assert [b["id"] for b in doc["boxes"] if b["state"] == "vacant"] == [2, 5, 7]
@@ -129,7 +197,7 @@ class TestExportScene:
         spaces = [ParkingSpace(0, box, OccupancyState.OCCUPIED)]
         path = tmp_path / "scene.json"
         export_scene(grid, spaces, path)
-        doc = load_scene(path)
+        doc = _load_scene(path)
         assert len(doc["voxels"]) == len(grid)
         entry = doc["boxes"][0]
         assert entry["centroid"] == [1.25, -2.5, 0.8]
@@ -138,40 +206,12 @@ class TestExportScene:
         assert entry["state"] == "occupied"
 
     def test_document_matches_schema(self, completed_run):
-        doc = load_scene(completed_run.artifacts["scene"])
+        doc = _load_scene(completed_run.artifacts["scene"])
         jsonschema.validate(doc, SCENE_SCHEMA)
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_scene(VoxelGrid(1.0), [], tmp_path / "scene.json")
-
-
-class TestLoadScene:
-    def test_invalid_json_reports_parse_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ParseError):
-            load_scene(path)
-
-    def test_non_object_rejected(self, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2, 3]\n")
-        with pytest.raises(DataError):
-            load_scene(path)
-
-    def test_missing_top_level_key_rejected(self, tmp_path):
-        path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"voxel_size": 1.0, "voxels": []}) + "\n")
-        with pytest.raises(DataError):
-            load_scene(path)
-
-    def test_missing_box_field_rejected(self, tmp_path):
-        doc = {"voxel_size": 1.0, "voxels": [],
-               "boxes": [{"id": 0, "centroid": [0, 0, 0], "dims": [1, 1, 1]}]}
-        path = tmp_path / "box.json"
-        path.write_text(json.dumps(doc) + "\n")
-        with pytest.raises(DataError):
-            load_scene(path)
 
 
 class TestWriteSyntheticDataset:
@@ -336,7 +376,7 @@ class TestRunPipeline:
         for name in ("refined_poses", "odometry_poses", "coarse_transform"):
             assert result.artifacts[name].is_file()
         assert json.loads(result.artifacts["spaces"].read_text()) == []
-        assert load_scene(result.artifacts["scene"])["boxes"] == []
+        assert _load_scene(result.artifacts["scene"])["boxes"] == []
         manifest = json.loads(result.artifacts["manifest"].read_text())
         assert manifest["skipped_car_clusters"] == 1
 
@@ -466,7 +506,7 @@ class TestCli:
         out = tmp_path / "vox"
         assert main(["export-scene", "--reference", str(dataset["reference"]),
                      "--out-dir", str(out)]) == 0
-        doc = load_scene(out / "scene.json")
+        doc = _load_scene(out / "scene.json")
         _, coarse = two_level_grids(read_ply(dataset["reference"]), PipelineConfig())
         assert len(doc["voxels"]) == len(coarse) > 0
         assert doc["boxes"] == []
@@ -504,7 +544,7 @@ class TestCli:
         assert main(["export-scene", "--reference", str(dataset["reference"]),
                      "--spaces", str(park / "spaces.json"),
                      "--out-dir", str(out)]) == 0
-        doc = load_scene(out / "scene.json")
+        doc = _load_scene(out / "scene.json")
         assert len(doc["boxes"]) == len(json.loads((park / "spaces.json").read_text()))
 
     def test_missing_input_exits_two(self, tmp_path, capsys):
@@ -512,6 +552,21 @@ class TestCli:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "input-error" in capsys.readouterr().err
+
+    def test_truncated_reference_exits_two(self, dataset, tmp_path, capsys):
+        # two faces declared before the vertices, the file ends after one
+        bad = tmp_path / "truncated.ply"
+        bad.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\n"
+            b"element face 2\nproperty list uchar int vertex_indices\n"
+            b"element vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
+            b"end_header\n\x03" + bytes(12)
+        )
+        rc = main(["pipeline", "--reference", str(bad), "--scans", str(dataset["scans"]),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "input-error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exits_two(self, dataset, tmp_path, capsys):
         bad = tmp_path / "config.json"
@@ -523,13 +578,23 @@ class TestCli:
         assert "voxel_size_fien" in capsys.readouterr().err
 
     def test_cli_import_leaves_graph_module_unloaded(self):
-        # parking imports scipy.sparse.csgraph only when it clusters, so that
-        # starting the CLI stays cheap
-        code = "import sys, voxloc.cli; print('scipy.sparse.csgraph' in sys.modules)"
+        # parking imports scipy.sparse.csgraph only when it clusters, and no
+        # test-only package loads with the CLI, so that starting it stays
+        # cheap; every name the package root exports resolves
+        code = (
+            "import sys, voxloc.cli\n"
+            "roots = {name.split('.')[0] for name in sys.modules}\n"
+            "import json\n"
+            "print(json.dumps({\n"
+            "    'csgraph': 'scipy.sparse.csgraph' in sys.modules,\n"
+            "    'test_only': sorted(roots & {'jsonschema', 'hypothesis', 'pytest', '_pytest'}),\n"
+            "    'unresolved': [n for n in voxloc.__all__ if not hasattr(voxloc, n)],\n"
+            "}))\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(voxloc.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert json.loads(done.stdout) == {"csgraph": False, "test_only": [], "unresolved": []}
 
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -223,13 +223,15 @@ class TestMatchFpfh:
 class TestEvaluateAlignment:
     def test_identity_on_identical_clouds(self, rng):
         cloud = PointCloud(rng.normal(size=(100, 3)))
-        fitness, rmse = evaluate_alignment(cloud, cloud, RigidTransform.identity(), 2.0)
+        fitness, rmse = evaluate_alignment(
+            cloud, SpatialIndex(cloud.points), RigidTransform.identity(), 2.0
+        )
         assert fitness == 1.0
         assert rmse == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint_clouds(self, rng):
         a = PointCloud(rng.normal(size=(50, 3)))
-        b = PointCloud(rng.normal(size=(50, 3)) + [100.0, 0.0, 0.0])
+        b = SpatialIndex(rng.normal(size=(50, 3)) + [100.0, 0.0, 0.0])
         fitness, rmse = evaluate_alignment(a, b, RigidTransform.identity(), 2.0)
         assert fitness == 0.0
         assert rmse == 0.0
@@ -240,7 +242,7 @@ class TestEvaluateAlignment:
         transform = _random_rigid(rng, max_angle=0.5, max_shift=1.0)
         threshold = 1.5
         fitness, rmse = evaluate_alignment(
-            PointCloud(src), PointCloud(tgt), transform, threshold
+            PointCloud(src), SpatialIndex(tgt), transform, threshold
         )
         moved = transform.apply(src)
         nn = np.array([np.linalg.norm(tgt - m, axis=1).min() for m in moved])
@@ -251,21 +253,25 @@ class TestEvaluateAlignment:
 
     def test_rmse_never_exceeds_threshold(self, rng):
         src = PointCloud(rng.normal(size=(80, 3)) * 2.0)
-        tgt = PointCloud(rng.normal(size=(80, 3)) * 2.0)
+        tgt = SpatialIndex(rng.normal(size=(80, 3)) * 2.0)
         for threshold in (0.2, 0.7, 1.3):
             _, rmse = evaluate_alignment(src, tgt, RigidTransform.identity(), threshold)
             assert rmse <= threshold
 
     def test_accepts_prebuilt_index(self, rng):
+        # RANSAC builds the target index once and scores every hypothesis on it
         src = PointCloud(rng.normal(size=(30, 3)))
         tgt = rng.normal(size=(40, 3))
-        direct = evaluate_alignment(src, PointCloud(tgt), RigidTransform.identity(), 1.0)
-        via_index = evaluate_alignment(src, SpatialIndex(tgt), RigidTransform.identity(), 1.0)
-        assert direct == via_index
+        index = SpatialIndex(tgt)
+        for _ in range(3):
+            transform = _random_rigid(rng, max_angle=0.3, max_shift=0.5)
+            reused = evaluate_alignment(src, index, transform, 1.0)
+            fresh = evaluate_alignment(src, SpatialIndex(tgt), transform, 1.0)
+            assert reused == fresh
 
     def test_empty_source(self):
         out = evaluate_alignment(
-            PointCloud(np.empty((0, 3))), PointCloud(np.ones((3, 3))),
+            PointCloud(np.empty((0, 3))), SpatialIndex(np.ones((3, 3))),
             RigidTransform.identity(), 1.0,
         )
         assert out == (0.0, 0.0)
@@ -273,7 +279,7 @@ class TestEvaluateAlignment:
     def test_bad_threshold_raises(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))
         with pytest.raises(ValueError):
-            evaluate_alignment(cloud, cloud, RigidTransform.identity(), 0.0)
+            evaluate_alignment(cloud, SpatialIndex(cloud.points), RigidTransform.identity(), 0.0)
 
 
 class TestRansacCoarse:
@@ -320,7 +326,7 @@ class TestRansacCoarse:
         cloud = PointCloud(points)
         res = ransac_coarse(cloud, cloud, desc, desc, config, seed=3)
         fitness, rmse = evaluate_alignment(
-            cloud, cloud, res.transform, config.ransac_distance_threshold
+            cloud, SpatialIndex(points), res.transform, config.ransac_distance_threshold
         )
         assert fitness == res.fitness
         assert rmse == res.inlier_rmse

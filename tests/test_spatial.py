@@ -7,86 +7,36 @@ from voxloc.errors import DataError
 from voxloc.spatial import SpatialIndex
 
 
-def _brute_knn(points, q, k):
-    """All (index, distance) sorted by (distance, index), truncated to k."""
-    dist = np.linalg.norm(points - q, axis=1)
-    order = np.lexsort((np.arange(len(points)), dist))
-    return [(int(i), float(dist[i])) for i in order[:k]]
-
-
-def _brute_radius(points, q, r):
-    dist = np.linalg.norm(points - q, axis=1)
-    inside = np.flatnonzero(dist <= r)
-    order = inside[np.lexsort((inside, dist[inside]))]
-    return [(int(i), float(dist[i])) for i in order]
-
-
 def test_empty_index():
     index = SpatialIndex(np.empty((0, 3)))
     assert index.count == 0
-    idx, dist = index.k_nearest(np.zeros(3), 4)
-    assert len(idx) == 0
-    idx, dist = index.radius_query(np.zeros(3), 1.0)
-    assert len(idx) == 0
+    idx, dist = index.nearest(np.zeros((2, 3)))
+    np.testing.assert_array_equal(idx, [-1, -1])
+    np.testing.assert_array_equal(dist, [np.inf, np.inf])
+    pairs, dist = index.pairs_within(1.0)
+    assert pairs.shape == (0, 2)
+    assert len(dist) == 0
 
 
 def test_single_point_is_its_own_neighbor():
     index = SpatialIndex(np.array([[1.0, 2.0, 3.0]]))
-    idx, dist = index.k_nearest(np.array([1.0, 2.0, 3.0]), 1)
+    idx, dist = index.nearest(np.array([[1.0, 2.0, 3.0]]))
     assert idx[0] == 0
     assert dist[0] == 0.0
 
 
-def test_k_larger_than_set_returns_all(rng):
-    pts = rng.normal(size=(7, 3))
-    index = SpatialIndex(pts)
-    idx, _ = index.k_nearest(np.zeros(3), 50)
-    assert sorted(idx) == list(range(7))
-
-
-def test_k_nearest_matches_brute_force(rng):
-    pts = rng.normal(scale=5.0, size=(2000, 3))
-    index = SpatialIndex(pts)
-    for _ in range(100):
-        q = rng.normal(scale=5.0, size=3)
-        got_idx, got_dist = index.k_nearest(q, 5)
-        expected = _brute_knn(pts, q, 5)
-        assert [int(i) for i in got_idx] == [e[0] for e in expected]
-        np.testing.assert_allclose(got_dist, [e[1] for e in expected], rtol=1e-12)
-
-
-def test_k_nearest_prefix_property(rng):
-    pts = rng.normal(size=(300, 3))
-    index = SpatialIndex(pts)
-    q = rng.normal(size=3)
-    i5, _ = index.k_nearest(q, 5)
-    i6, _ = index.k_nearest(q, 6)
-    assert list(i6[:5]) == list(i5)
-
-
-def test_radius_query_matches_brute_force(rng):
-    pts = rng.normal(scale=3.0, size=(2000, 3))
-    index = SpatialIndex(pts)
-    for _ in range(100):
-        q = rng.normal(scale=3.0, size=3)
-        r = rng.uniform(0.5, 4.0)
-        got_idx, got_dist = index.radius_query(q, r)
-        expected = _brute_radius(pts, q, r)
-        assert [int(i) for i in got_idx] == [e[0] for e in expected]
-
-
 def test_radius_boundary_is_inclusive():
-    pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0001, 0.0, 0.0]])
-    index = SpatialIndex(pts)
-    idx, _ = index.radius_query(np.zeros(3), 2.0)
-    assert list(idx) == [0, 1]
+    pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0001, 0.0, 0.0], [4.5, 0.0, 0.0]])
+    pairs, dist = SpatialIndex(pts).pairs_within(2.0)
+    got = sorted((min(a, b), max(a, b)) for a, b in pairs.tolist())
+    assert got == [(0, 1), (1, 2)]
+    assert sorted(dist.tolist())[-1] == 2.0
 
 
 def test_radius_saturation(rng):
     pts = rng.normal(size=(40, 3))
-    index = SpatialIndex(pts)
-    idx, _ = index.radius_query(np.zeros(3), 1e6)
-    assert len(idx) == 40
+    pairs, _ = SpatialIndex(pts).pairs_within(1e6)
+    assert len(pairs) == 40 * 39 // 2
 
 
 def test_pairs_within_matches_brute_force(rng):

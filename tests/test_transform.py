@@ -127,14 +127,12 @@ class TestRigidTransform:
 
     def test_matrix_round_trip(self, rng):
         t = RigidTransform(rotation_exp(rng.normal(size=3)), rng.normal(size=3))
-        again = RigidTransform.from_matrix(t.matrix())
+        m = t.matrix()
+        again = RigidTransform(m[:3, :3], m[:3, 3])
         assert np.array_equal(again.rotation, t.rotation)
         assert np.array_equal(again.translation, t.translation)
-        assert t.matrix3x4().shape == (3, 4)
-
-    def test_from_matrix_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            RigidTransform.from_matrix(np.eye(3))
+        np.testing.assert_array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(t.matrix3x4(), m[:3])
 
 
 class TestTrajectory:

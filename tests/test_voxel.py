@@ -1,16 +1,14 @@
-"""Voxel grid tests: cell statistics, normals, grouping, insert/evict."""
+"""Voxel grid tests: cell statistics, normals, grouping, insert/evict.
+
+Cells are read through the grid's columns; the per-cell oracle is a few lines
+of numpy over each cell's points.
+"""
 
 import numpy as np
 import pytest
 
 from voxloc.cloud import PointCloud
-from voxloc.voxel import (
-    VoxelGrid,
-    cell_statistics,
-    downsample,
-    estimate_normal,
-    voxelize,
-)
+from voxloc.voxel import VoxelGrid, downsample, voxelize
 
 
 def _cov_two_pass(pts):
@@ -24,6 +22,21 @@ def _cov_two_pass(pts):
     return acc / (len(pts) - 1)
 
 
+def _normal_oracle(pts):
+    """Smallest-eigenvector normal of one cell's points, signed into z >= 0
+    (ties toward y >= 0, then x >= 0); None below 3 points or without an
+    eigengap of 1e-12."""
+    if len(pts) < 3:
+        return None
+    w, v = np.linalg.eigh(np.cov(pts, rowvar=False, ddof=1))
+    if w[1] - w[0] < 1e-12:
+        return None
+    normal = v[:, 0]
+    x, y, z = normal
+    sign = np.sign(z) if z != 0.0 else np.sign(y) if y != 0.0 else (1.0 if x >= 0.0 else -1.0)
+    return normal * sign
+
+
 def _keys_by_floor(pts, size):
     """Brute-force grouping of points by their floor-division cell key."""
     groups = {}
@@ -33,84 +46,107 @@ def _keys_by_floor(pts, size):
     return groups
 
 
+def _row(grid, key):
+    """The grid row holding a cell key."""
+    rows = np.flatnonzero((grid.keys_array == np.asarray(key)).all(axis=1))
+    assert len(rows) == 1, key
+    return int(rows[0])
+
+
+def _key_set(grid):
+    return set(map(tuple, grid.keys_array.tolist()))
+
+
+def _one_cell(pts, colors=None):
+    """Voxelize points that all fall into one 100 m cell."""
+    grid = voxelize(PointCloud(np.asarray(pts, dtype=float), colors), 100.0)
+    assert len(grid) == 1
+    return grid
+
+
+def _cell_normal(pts, viewpoint=None):
+    grid = _one_cell(pts)
+    grid.compute_normals(viewpoint)
+    return grid.normals[0] if grid.has_normal[0] else None
+
+
+_SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+
 class TestCellStatistics:
     def test_single_point(self):
-        cell = cell_statistics(np.array([[1.5, -2.0, 0.25]]))
-        assert cell.count == 1
-        np.testing.assert_allclose(cell.mean, [1.5, -2.0, 0.25])
-        assert cell.covariance is None
-        assert cell.color is None
+        grid = _one_cell([[1.5, -2.0, 0.25]])
+        assert grid.counts.tolist() == [1]
+        np.testing.assert_allclose(grid.means[0], [1.5, -2.0, 0.25])
+        assert not grid.has_covariance[0]
+        assert grid.colors is None
 
     def test_two_points_have_no_covariance(self):
-        cell = cell_statistics(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-        assert cell.count == 2
-        assert cell.covariance is None
+        grid = _one_cell([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert grid.counts.tolist() == [2]
+        assert not grid.has_covariance[0]
 
     def test_collinear_triplet(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        cell = cell_statistics(pts)
-        np.testing.assert_allclose(cell.mean, [1.0, 0.0, 0.0])
+        grid = _one_cell([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        np.testing.assert_allclose(grid.means[0], [1.0, 0.0, 0.0])
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0  # ((-1)^2 + 0 + 1^2) / (3 - 1)
-        np.testing.assert_allclose(cell.covariance, expected, atol=1e-15)
+        assert grid.has_covariance[0]
+        np.testing.assert_allclose(grid.covariances[0], expected, atol=1e-15)
 
     def test_covariance_matches_two_pass_oracle(self, rng):
-        pts = rng.normal(size=(50, 3)) * [2.0, 0.5, 0.1]
-        cell = cell_statistics(pts)
-        np.testing.assert_allclose(cell.covariance, _cov_two_pass(pts), atol=1e-12)
-        np.testing.assert_allclose(
-            cell.covariance, np.cov(pts, rowvar=False, ddof=1), atol=1e-12
-        )
+        pts = rng.normal(size=(50, 3)) * [2.0, 0.5, 0.1] + 10.0
+        cov = _one_cell(pts).covariances[0]
+        np.testing.assert_allclose(cov, _cov_two_pass(pts), atol=1e-12)
+        np.testing.assert_allclose(cov, np.cov(pts, rowvar=False, ddof=1), atol=1e-12)
 
     def test_covariance_is_symmetric(self, rng):
-        cell = cell_statistics(rng.normal(size=(20, 3)))
-        np.testing.assert_array_equal(cell.covariance, cell.covariance.T)
+        cov = _one_cell(rng.normal(size=(20, 3)) + 10.0).covariances[0]
+        np.testing.assert_array_equal(cov, cov.T)
 
     def test_color_mean_rounds_to_nearest(self):
-        pts = np.zeros((3, 3))
         colors = np.array([[100, 0, 255], [101, 0, 255], [101, 3, 255]])
-        cell = cell_statistics(pts, colors)
-        assert cell.color.dtype == np.uint8
-        np.testing.assert_array_equal(cell.color, [101, 1, 255])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            cell_statistics(np.empty((0, 3)))
+        grid = _one_cell(np.zeros((3, 3)), colors)
+        assert grid.colors.dtype == np.uint8
+        np.testing.assert_array_equal(grid.colors[0], [101, 1, 255])
 
     def test_wrong_shape_raises(self):
         with pytest.raises(ValueError):
-            cell_statistics(np.zeros((4, 2)))
+            VoxelGrid(1.0).insert(np.zeros((4, 2)))
 
     def test_mismatched_colors_raise(self):
         with pytest.raises(ValueError):
-            cell_statistics(np.zeros((3, 3)), colors=np.zeros((2, 3)))
+            voxelize(PointCloud(np.zeros((3, 3)), colors=np.zeros((2, 3))), 1.0)
 
 
 class TestEstimateNormal:
+    """Normals of single-cell grids from compute_normals."""
+
     def test_flat_patch_points_up(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        normal = estimate_normal(cell_statistics(pts))
-        np.testing.assert_allclose(normal, [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(_cell_normal(_SQUARE), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_viewpoint_below_flips_sign(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        normal = estimate_normal(cell_statistics(pts), viewpoint=np.array([0.0, 0.0, -5.0]))
+        normal = _cell_normal(_SQUARE, viewpoint=np.array([0.0, 0.0, -5.0]))
         np.testing.assert_allclose(normal, [0.0, 0.0, -1.0], atol=1e-12)
 
+    def test_vertical_patches_follow_the_tie_rule(self):
+        # with z == 0 the sign comes from y, and with y == 0 too from x
+        np.testing.assert_allclose(_cell_normal(_SQUARE[:, [2, 0, 1]]), [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(_cell_normal(_SQUARE[:, [0, 2, 1]]), [0.0, 1.0, 0.0], atol=1e-12)
+
     def test_collinear_cell_has_no_normal(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        assert estimate_normal(cell_statistics(pts)) is None
+        assert _cell_normal([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]) is None
 
     def test_missing_covariance_has_no_normal(self):
-        assert estimate_normal(cell_statistics(np.zeros((2, 3)))) is None
+        assert _cell_normal(np.zeros((2, 3))) is None
 
     def test_orthogonal_to_tilted_plane(self, rng):
         # random planes: the normal must be unit and orthogonal to the span
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             ab = rng.uniform(-1.0, 1.0, size=(30, 2))
-            pts = ab[:, :1] * q[:, 0] + ab[:, 1:] * q[:, 1]
-            normal = estimate_normal(cell_statistics(pts))
+            pts = ab[:, :1] * q[:, 0] + ab[:, 1:] * q[:, 1] + 5.0
+            normal = _cell_normal(pts)
             assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
             assert abs(normal @ q[:, 0]) < 1e-9
             assert abs(normal @ q[:, 1]) < 1e-9
@@ -119,26 +155,25 @@ class TestEstimateNormal:
 class TestVoxelize:
     def test_cell_key_is_floor_of_scaled_coordinate(self):
         grid = voxelize(PointCloud(np.array([[0.05, 0.05, 0.05]])), 0.1)
-        assert list(grid.keys()) == [(0, 0, 0)]
+        assert grid.keys_array.tolist() == [[0, 0, 0]]
 
     def test_negative_coordinates_floor_down(self):
         grid = voxelize(PointCloud(np.array([[-0.05, 0.25, 0.1]])), 0.1)
-        assert list(grid.keys()) == [(-1, 2, 1)]
+        assert grid.keys_array.tolist() == [[-1, 2, 1]]
 
     def test_boundary_point_lands_in_upper_cell(self):
         grid = voxelize(PointCloud(np.array([[0.5, 0.0, 0.0]])), 0.5)
-        assert (1, 0, 0) in grid
+        assert grid.keys_array.tolist() == [[1, 0, 0]]
 
     def test_unit_cube_fills_eight_cells(self, rng):
         pts = rng.random((1000, 3))
         grid = voxelize(PointCloud(pts), 0.5)
         assert len(grid) == 8
-        assert grid.total_count() == 1000
+        assert int(grid.counts.sum()) == 1000
 
     def test_counts_conserve_points(self, rng):
         pts = rng.normal(size=(5000, 3)) * 4.0
         grid = voxelize(PointCloud(pts), 0.3)
-        assert grid.total_count() == 5000
         assert int(grid.counts.sum()) == 5000
 
     def test_keys_sorted_lexicographically(self, rng):
@@ -151,17 +186,20 @@ class TestVoxelize:
         colors = rng.integers(0, 256, size=(600, 3), dtype=np.uint8)
         grid = voxelize(PointCloud(pts, colors), 0.5)
         groups = _keys_by_floor(pts, 0.5)
-        assert set(grid.keys()) == set(groups)
+        assert _key_set(grid) == set(groups)
         for key, idx in groups.items():
-            cell = grid.cell(key)
-            oracle = cell_statistics(pts[idx], colors[idx])
-            assert cell.count == oracle.count
-            np.testing.assert_allclose(cell.mean, oracle.mean, atol=1e-12)
-            if oracle.covariance is None:
-                assert cell.covariance is None
-            else:
-                np.testing.assert_allclose(cell.covariance, oracle.covariance, atol=1e-10)
-            np.testing.assert_array_equal(cell.color, oracle.color)
+            row = _row(grid, key)
+            cell = pts[idx]
+            assert grid.counts[row] == len(idx)
+            np.testing.assert_allclose(grid.means[row], cell.mean(axis=0), atol=1e-12)
+            assert grid.has_covariance[row] == (len(idx) >= 3)
+            if len(idx) >= 3:
+                np.testing.assert_allclose(
+                    grid.covariances[row], np.cov(cell, rowvar=False, ddof=1), atol=1e-10
+                )
+            np.testing.assert_array_equal(
+                grid.colors[row], np.rint(colors[idx].mean(axis=0)).astype(np.uint8)
+            )
 
     def test_translation_equivariance_on_cell_multiples(self, rng):
         size = 0.25
@@ -169,32 +207,19 @@ class TestVoxelize:
         pts = rng.uniform(0.0, 3.0, size=(500, 3))
         base = voxelize(PointCloud(pts), size)
         moved = voxelize(PointCloud(pts + shift_cells * size), size)
-        assert set(moved.keys()) == {
-            (k[0] + 2, k[1] - 3, k[2] + 5) for k in base.keys()
-        }
-        for key in base.keys():
-            shifted = tuple(np.array(key) + shift_cells)
-            np.testing.assert_allclose(
-                moved.cell(shifted).mean,
-                base.cell(key).mean + shift_cells * size,
-                atol=1e-9,
-            )
+        np.testing.assert_array_equal(moved.keys_array, base.keys_array + shift_cells)
+        np.testing.assert_allclose(moved.means, base.means + shift_cells * size, atol=1e-9)
 
     def test_empty_cloud(self):
         grid = voxelize(PointCloud(np.empty((0, 3))), 0.5)
         assert len(grid) == 0
-        assert grid.total_count() == 0
+        assert int(grid.counts.sum()) == 0
 
     def test_invalid_voxel_size(self):
         with pytest.raises(ValueError):
             VoxelGrid(0.0)
         with pytest.raises(ValueError):
             voxelize(PointCloud(np.zeros((1, 3))), -0.1)
-
-    def test_missing_key_raises(self):
-        grid = voxelize(PointCloud(np.array([[0.05, 0.05, 0.05]])), 0.1)
-        with pytest.raises(KeyError):
-            grid.cell((9, 9, 9))
 
 
 class TestComputeNormals:
@@ -230,13 +255,14 @@ class TestComputeNormals:
         pts = rng.normal(size=(3000, 3)) * [3.0, 3.0, 0.2]
         grid = voxelize(PointCloud(pts), 0.8)
         grid.compute_normals()
-        for key in list(grid.keys())[:40]:
-            cell = grid.cell(key)
-            single = estimate_normal(cell)
+        groups = _keys_by_floor(pts, 0.8)
+        for row, key in enumerate(grid.keys_array[:40].tolist()):
+            single = _normal_oracle(pts[groups[tuple(key)]])
             if single is None:
-                assert cell.normal is None
+                assert not grid.has_normal[row]
             else:
-                np.testing.assert_allclose(cell.normal, single, atol=1e-9)
+                assert grid.has_normal[row]
+                np.testing.assert_allclose(grid.normals[row], single, atol=1e-9)
 
 
 class TestDownsample:
@@ -265,29 +291,30 @@ class TestInsertEvict:
         grid = voxelize(PointCloud(a), 0.5)
         grid.insert(b)
         union = voxelize(PointCloud(np.vstack([a, b])), 0.5)
-        assert grid.total_count() == 700
-        assert set(grid.keys()) == set(union.keys())
-        for key in union.keys():
-            assert grid.cell(key).count == union.cell(key).count
-            np.testing.assert_allclose(grid.cell(key).mean, union.cell(key).mean, atol=1e-9)
+        assert int(grid.counts.sum()) == 700
+        assert len(grid) == len(union)
+        for row, key in enumerate(union.keys_array):
+            mine = _row(grid, key)
+            assert grid.counts[mine] == union.counts[row]
+            np.testing.assert_allclose(grid.means[mine], union.means[row], atol=1e-9)
 
     def test_insert_clears_derived_fields(self, rng):
         pts = rng.uniform(0.0, 2.0, size=(500, 3))
-        grid = voxelize(PointCloud(pts), 0.5)
+        colors = rng.integers(0, 256, size=(500, 3), dtype=np.uint8)
+        grid = voxelize(PointCloud(pts, colors), 0.5)
         grid.compute_normals()
         assert grid.has_normal.any()
         grid.insert(pts[:10])
-        touched = voxelize(PointCloud(pts[:10]), 0.5)
-        for key in touched.keys():
-            cell = grid.cell(key)
-            assert cell.covariance is None
-            assert cell.normal is None
+        touched = [_row(grid, key) for key in voxelize(PointCloud(pts[:10]), 0.5).keys_array]
+        assert not grid.has_covariance[touched].any()
+        assert not grid.has_normal[touched].any()
+        assert grid.colors is None  # dropped for the whole grid
 
     def test_insert_into_empty_grid(self, rng):
         grid = VoxelGrid(0.5)
         pts = rng.uniform(0.0, 2.0, size=(100, 3))
         grid.insert(pts)
-        assert grid.total_count() == 100
+        assert int(grid.counts.sum()) == 100
 
     def test_insert_nothing_is_a_no_op(self, rng):
         grid = voxelize(PointCloud(rng.uniform(0.0, 2.0, size=(50, 3))), 0.5)
@@ -306,9 +333,16 @@ class TestInsertEvict:
         assert (np.linalg.norm(grid.means - center, axis=1) <= 5.0).all()
 
     def test_evict_then_lookup_still_consistent(self, rng):
+        # insert looks cells up by key: after eviction a kept cell must still
+        # be found in its new row, and an evicted one must come back as new
         pts = rng.uniform(-4.0, 4.0, size=(800, 3))
         grid = voxelize(PointCloud(pts), 0.5)
+        grid.insert(pts[:1])  # builds the key lookup before the eviction
         grid.evict_outside(np.zeros(3), 2.0)
-        for i, key in enumerate(grid.keys()):
-            np.testing.assert_array_equal(grid.keys_array[i], key)
-            assert grid.cell(key).count == grid.counts[i]
+        assert [7, 7, 7] not in grid.keys_array.tolist()
+        expected = grid.counts.copy()
+        expected[-1] += 1
+        grid.insert(np.vstack([grid.means[-1], [3.9, 3.9, 3.9]]))
+        np.testing.assert_array_equal(grid.counts[:-1], expected)
+        assert grid.keys_array[-1].tolist() == [7, 7, 7]
+        assert grid.counts[-1] == 1
