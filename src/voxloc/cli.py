@@ -8,8 +8,12 @@ poses) once from the coarse transform, then refines every scan from that
 alignment; it prints the whole-cloud step's fitness.
 `parking`, `eval`, `export-scene` and `synth` cover occupancy updates, pose
 scoring, the coarse-grid scene (with optional parking boxes) and synthetic
-data. Exit codes: 0 success, 1 stage failure, 2 input error (missing,
-unreadable, or inconsistent inputs).
+data.
+
+Every command reads its inputs through pipeline.load_input and load_scans,
+as run_pipeline does, and exits by the same rule: 0 on success, 2 on a
+PipelineInputError (an input missing, unreadable, malformed or
+inconsistent; stderr says "input-error"), 1 on any other failure.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, DataError, ParseError
 from .evaluation import (
     XY_BIN_WIDTH,
     Z_BIN_WIDTH,
@@ -34,10 +37,12 @@ from .parking import extract_class, load_spaces, save_spaces, spaces_from_refere
 from .pipeline import (
     EXIT_INPUT_ERROR,
     EXIT_STAGE_ERROR,
+    PipelineInputError,
     PipelineRun,
     coarse_align,
     export_scene,
-    list_scan_files,
+    load_input,
+    load_scans,
     refine_scans,
     run_pipeline,
     two_level_grids,
@@ -47,40 +52,9 @@ from .synthetic import SceneSpec
 from .transform import Trajectory
 
 
-class _InputError(ValueError):
-    pass
-
-
-def _load_cloud(path: str) -> "PointCloud":
-    target = Path(path)
-    if not target.is_file():
-        raise _InputError(f"cloud file not found: {target}")
-    return read_ply(target)
-
-
-def _load_trajectory(path: str) -> Trajectory:
-    target = Path(path)
-    if not target.is_file():
-        raise _InputError(f"pose file not found: {target}")
-    return read_poses(target)
-
-
-def _load_scans(scan_dir: str) -> list:
-    target = Path(scan_dir)
-    if not target.is_dir():
-        raise _InputError(f"scan directory not found: {target}")
-    files = list_scan_files(target)
-    if not files:
-        raise _InputError(f"no .ply scans in {target}")
-    return [read_ply(f) for f in files]
-
-
 def _resolve_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise _InputError(f"config file not found: {path}")
-        return load_config(path)
+        return load_input(load_config, args.config, "config")
     return PipelineConfig()
 
 
@@ -107,7 +81,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_odometry(args) -> int:
     config = _resolve_config(args)
-    scans = _load_scans(args.scans)
+    scans = load_scans(args.scans)
     combined, trajectory = combine_scans(scans, config)
     out = _out_dir(args)
     write_ply(out / "combined.ply", combined)
@@ -120,8 +94,8 @@ def _cmd_odometry(args) -> int:
 
 def _cmd_coarse(args) -> int:
     config = _resolve_config(args)
-    reference = _load_cloud(args.reference)
-    combined = _load_cloud(args.combined)
+    reference = load_input(read_ply, args.reference, "reference cloud")
+    combined = load_input(read_ply, args.combined, "combined cloud")
     _, reference_coarse = two_level_grids(reference, config)
     result = coarse_align(reference_coarse, combined, config, args.seed)
     out = _out_dir(args) / "coarse_transform.txt"
@@ -135,14 +109,14 @@ def _cmd_coarse(args) -> int:
 
 def _cmd_fine(args) -> int:
     config = _resolve_config(args)
-    reference = _load_cloud(args.reference)
-    scans = _load_scans(args.scans)
-    odometry_poses = _load_trajectory(args.odom_poses)
-    coarse_list = _load_trajectory(args.coarse_transform)
+    reference = load_input(read_ply, args.reference, "reference cloud")
+    scans = load_scans(args.scans)
+    odometry_poses = load_input(read_poses, args.odom_poses, "odometry poses")
+    coarse_list = load_input(read_poses, args.coarse_transform, "coarse transform")
     if len(odometry_poses) != len(scans):
-        raise _InputError(f"{len(odometry_poses)} poses for {len(scans)} scans")
+        raise PipelineInputError(f"{len(odometry_poses)} poses for {len(scans)} scans")
     if len(coarse_list) != 1:
-        raise _InputError("coarse transform file must hold exactly one pose")
+        raise PipelineInputError("coarse transform file must hold exactly one pose")
     fine_grid, _ = two_level_grids(reference, config)
     fine_grid.compute_normals()
     whole, results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
@@ -181,14 +155,13 @@ def _cmd_parking(args) -> int:
     config = _resolve_config(args)
     skipped: list[int] = []
     if args.spaces:
-        spaces_path = Path(args.spaces)
-        if not spaces_path.is_file():
-            raise _InputError(f"spaces file not found: {spaces_path}")
-        spaces = load_spaces(spaces_path)
-    else:
-        reference = _load_cloud(args.reference)
+        spaces = load_input(load_spaces, args.spaces, "spaces file")
+    elif args.reference:
+        reference = load_input(read_ply, args.reference, "reference cloud")
         spaces = spaces_from_reference(reference, config, skipped=skipped)
-    update = _load_cloud(args.update_cloud)
+    else:
+        raise PipelineInputError("parking needs --reference or --spaces")
+    update = load_input(read_ply, args.update_cloud, "update cloud")
     if update.labels is not None:
         car_points = extract_class(update, config.car_label).points
     else:
@@ -206,10 +179,10 @@ def _cmd_parking(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    estimated = _load_trajectory(args.est)
-    ground_truth = _load_trajectory(args.gt_poses)
+    estimated = load_input(read_poses, args.est, "estimated poses")
+    ground_truth = load_input(read_poses, args.gt_poses, "ground-truth poses")
     if len(estimated) != len(ground_truth):
-        raise _InputError(f"{len(estimated)} estimated poses vs {len(ground_truth)} ground truth")
+        raise PipelineInputError(f"{len(estimated)} estimated poses vs {len(ground_truth)} ground truth")
     errors = evaluate_trajectory(estimated, ground_truth)
     out = _out_dir(args)
     write_errors_csv(out / "errors.csv", errors)
@@ -224,14 +197,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_scene(args) -> int:
     config = _resolve_config(args)
-    cloud = _load_cloud(args.reference)
+    cloud = load_input(read_ply, args.reference, "reference cloud")
+    spaces = load_input(load_spaces, args.spaces, "spaces file") if args.spaces else []
     _, coarse = two_level_grids(cloud, config)
-    spaces = []
-    if args.spaces:
-        spaces_path = Path(args.spaces)
-        if not spaces_path.is_file():
-            raise _InputError(f"spaces file not found: {spaces_path}")
-        spaces = load_spaces(spaces_path)
     out = _out_dir(args) / "scene.json"
     export_scene(coarse, spaces, out)
     print(f"voxels: {len(coarse)}")
@@ -316,15 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "parking" and not args.spaces and not args.reference:
-        print("error: input-error: parking needs --reference or --spaces", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (_InputError, ParseError, DataError, ConfigError, FileNotFoundError) as exc:
+    except PipelineInputError as exc:
         print(f"error: input-error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except Exception as exc:  # noqa: BLE001 - stage failures map to exit 1
+    except Exception as exc:  # noqa: BLE001 - every other failure is a stage failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
 

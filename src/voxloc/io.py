@@ -242,7 +242,13 @@ def read_ply(path: str | Path) -> PointCloud:
 
 
 def write_ply(path: str | Path, cloud: PointCloud) -> None:
-    """Write a binary little-endian PLY file; positions are kept bit-exactly."""
+    """Write a binary little-endian PLY file; positions are kept bit-exactly.
+
+    Labels are written as PLY int; a label outside int32 is a DataError."""
+    if cloud.labels is not None and len(cloud):
+        i4 = np.iinfo(np.int32)
+        if cloud.labels.min() < i4.min or cloud.labels.max() > i4.max:
+            raise DataError("label outside the int32 range of the PLY label property")
     n = len(cloud)
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
     header += ["property double x", "property double y", "property double z"]

@@ -15,15 +15,14 @@ import numpy as np
 from .cloud import PointCloud, concat_clouds
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError, InsufficientOverlapError
-from .registration import estimate_rigid
+from .registration import MIN_CORRESPONDENCES, estimate_rigid
 from .spatial import SpatialIndex
 from .transform import RigidTransform, Trajectory, orthonormalize_rotation, rotation_log
 from .voxel import VoxelGrid, downsample, voxelize
 
 DEFAULT_THRESHOLD = 1.0     # correspondence bound until the deviation model warms up
-REGISTRATION_SCALE = 5.0    # registration downsample = scale * map voxel size
+REGISTRATION_SCALE = 5.0    # registration downsample = scale * target grid voxel size
 MAP_RANGE = 100.0           # cells farther than this from the pose are evicted
-MIN_CORRESPONDENCES = 6
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import PipelineConfig
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, ParseError
 from .voxel import _group_points
 
 CONTAINMENT_SLACK = 1e-9  # absolute slack on box boundaries, in meters
@@ -301,13 +301,17 @@ def save_spaces(path: str | Path, spaces: list[ParkingSpace]) -> None:
 
 
 def load_spaces(path: str | Path) -> list[ParkingSpace]:
-    payload = json.loads(Path(path).read_text())
+    """Spaces as save_spaces writes them; ParseError when the text is not JSON
+    or an entry lacks a field or holds a value of the wrong kind or shape."""
     spaces = []
-    for entry in payload:
-        box = OrientedBox(
-            centroid=np.array(entry["centroid"], dtype=float),
-            dims=np.array(entry["dims"], dtype=float),
-            yaw=float(entry["yaw"]),
-        )
-        spaces.append(ParkingSpace(int(entry["id"]), box, OccupancyState(entry["state"])))
+    try:
+        for entry in json.loads(Path(path).read_text()):
+            box = OrientedBox(
+                centroid=np.array(entry["centroid"], dtype=float).reshape(3),
+                dims=np.array(entry["dims"], dtype=float).reshape(3),
+                yaw=float(entry["yaw"]),
+            )
+            spaces.append(ParkingSpace(int(entry["id"]), box, OccupancyState(entry["state"])))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed spaces file: {exc!r}") from exc
     return spaces

@@ -7,6 +7,11 @@ cloud, then refine every raw scan with point-to-plane ICP against the fine
 reference grid, each started from the refined whole-cloud alignment.
 Outputs land in a run directory together with a manifest naming them; a
 failed run removes whatever it had already written.
+
+Inputs are read only through load_input and load_scans, here and in the CLI,
+so one rule decides every exit code: a file that is missing, unreadable,
+malformed or inconsistent is a PipelineInputError (exit 2, status
+"input-error"); any other failure is a stage error (exit 1).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .cloud import PointCloud, concat_clouds
 from .config import PipelineConfig, config_hash
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .evaluation import (
     XY_BIN_WIDTH,
     Z_BIN_WIDTH,
@@ -31,7 +36,7 @@ from .evaluation import (
 )
 from .fpfh import compute_fpfh
 from .io import read_ply, read_poses, write_ply, write_poses
-from .odometry import OdometryState, combine_scans
+from .odometry import REGISTRATION_SCALE, OdometryState, combine_scans
 from .parking import ParkingSpace, save_spaces, spaces_from_reference
 from .registration import RegistrationResult, icp_point_to_plane, planar_cells, ransac_coarse
 from .spatial import SpatialIndex
@@ -47,14 +52,13 @@ _DEFAULT_VOXEL_COLOR = (128, 128, 128)
 _PLANARITY_RATIO = 0.03  # max smallest/largest eigenvalue for a feature cell
 _ANCHOR_SCALE = 4.0      # normal-orientation anchor radius over fpfh_radius
 _ANCHOR_RADIUS_CAP = 20.0  # beyond this the anchor centroid barely moves
-# whole-cloud ICP: downsample voxel over voxel_size_fine (odometry's
-# registration scale), and its iteration cap, above the per-scan one because
-# it starts from the metre-level RANSAC error
-WHOLE_CLOUD_SCALE = 5.0
+# whole-cloud ICP iteration cap, above the per-scan one because it starts
+# from the metre-level RANSAC error
 WHOLE_CLOUD_MAX_ITERATIONS = 200
 
+
 class PipelineInputError(ValueError):
-    """An input file is missing, unreadable, or inconsistent."""
+    """An input file is missing, unreadable, malformed, or inconsistent."""
 
 
 @dataclass
@@ -87,6 +91,25 @@ class PipelineResult:
 def list_scan_files(scan_dir: str | Path) -> list[Path]:
     """PLY files of a scan directory in filename order."""
     return sorted(Path(scan_dir).glob("*.ply"))
+
+
+def load_input(reader, path: str | Path, what: str):
+    """reader(path), with a file that cannot be read or checked (OSError,
+    ParseError, DataError, ConfigError) raised as a PipelineInputError that
+    names it."""
+    try:
+        return reader(path)
+    except (OSError, ParseError, DataError, ConfigError) as exc:
+        raise PipelineInputError(f"{what} {path}: {exc}") from exc
+
+
+def load_scans(scan_dir: str | Path) -> list[PointCloud]:
+    """Every scan of a directory in filename order; a directory without .ply
+    files is a PipelineInputError."""
+    files = list_scan_files(scan_dir)
+    if not files:
+        raise PipelineInputError(f"no .ply scans in {scan_dir}")
+    return [load_input(read_ply, path, "scan") for path in files]
 
 
 def export_scene(grid: VoxelGrid, spaces: list[ParkingSpace], path: str | Path) -> None:
@@ -197,14 +220,14 @@ def refine_scans(
     reference fine grid (normals already computed), in two steps.
 
     First the combined cloud, rebuilt from the scans and their odometry poses
-    and downsampled to WHOLE_CLOUD_SCALE * voxel_size_fine, is aligned once
+    and downsampled to REGISTRATION_SCALE * voxel_size_fine, is aligned once
     from the coarse transform (at most WHOLE_CLOUD_MAX_ITERATIONS). Then every
     raw scan is refined from its odometry pose mapped through that alignment,
     so the scans no longer each climb the coarse error on their own. Returns
     the whole-cloud result and the per-scan results."""
     index, normals = planar_cells(reference_fine)
     combined = concat_clouds([scan.transformed(pose) for scan, pose in zip(scans, odometry_poses)])
-    sparse = downsample(voxelize(combined, WHOLE_CLOUD_SCALE * config.voxel_size_fine))
+    sparse = downsample(voxelize(combined, REGISTRATION_SCALE * config.voxel_size_fine))
     whole = icp_point_to_plane(
         sparse,
         index,
@@ -219,26 +242,13 @@ def refine_scans(
     return whole, per_scan
 
 
-def _check_inputs(run: PipelineRun) -> None:
-    reference = Path(run.reference_path)
-    if not reference.is_file():
-        raise PipelineInputError(f"reference cloud not found: {reference}")
-    scan_dir = Path(run.scan_dir)
-    if not scan_dir.is_dir():
-        raise PipelineInputError(f"scan directory not found: {scan_dir}")
-    if not list_scan_files(scan_dir):
-        raise PipelineInputError(f"no .ply scans in {scan_dir}")
-    if run.gt_poses_path is not None and not Path(run.gt_poses_path).is_file():
-        raise PipelineInputError(f"ground-truth pose file not found: {run.gt_poses_path}")
-
-
 def run_pipeline(run: PipelineRun) -> PipelineResult:
     """Execute the full localization pipeline and write its artifacts.
 
-    Returns a result whose exit_code is 0 on success, 2 when inputs are
-    missing or unreadable (status "input-error"), and 1 when a stage fails
-    (status names the stage). On failure every file already written is
-    removed.
+    Returns a result whose exit_code is 0 on success, 2 when an input is
+    missing, unreadable, malformed or inconsistent (status "input-error"),
+    and 1 when a stage fails (status "error:<stage>"). On failure every file
+    already written is removed.
     """
     config = run.config
     out_dir = Path(run.out_dir)
@@ -249,27 +259,21 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         written.append(path)
         return path
 
-    stage = "inputs"
     try:
-        _check_inputs(run)
-        try:
-            reference = read_ply(run.reference_path)
-            scan_files = list_scan_files(run.scan_dir)
-            scans = [read_ply(path) for path in scan_files]
-            ground_truth = None
-            if run.gt_poses_path is not None:
-                ground_truth = read_poses(run.gt_poses_path)
-                if len(ground_truth) != len(scans):
-                    raise PipelineInputError(
-                        f"{len(ground_truth)} ground-truth poses for {len(scans)} scans"
-                    )
-        except (ParseError, DataError) as exc:
-            raise PipelineInputError(str(exc)) from exc
+        reference = load_input(read_ply, run.reference_path, "reference cloud")
+        scans = load_scans(run.scan_dir)
+        ground_truth = None
+        if run.gt_poses_path is not None:
+            ground_truth = load_input(read_poses, run.gt_poses_path, "ground-truth poses")
+            if len(ground_truth) != len(scans):
+                raise PipelineInputError(
+                    f"{len(ground_truth)} ground-truth poses for {len(scans)} scans"
+                )
     except PipelineInputError as exc:
         return PipelineResult("input-error", EXIT_INPUT_ERROR, str(exc))
 
+    stage = "voxelize"
     try:
-        stage = "voxelize"
         reference_fine, reference_coarse = two_level_grids(reference, config)
         reference_fine.compute_normals()
 

@@ -15,7 +15,7 @@ from .transform import RigidTransform, rotation_exp
 from .voxel import VoxelGrid
 
 EDGE_PRUNE_RATIO = 0.10   # pairwise source edge must match target edge to 10%
-MIN_ICP_CORRESPONDENCES = 6
+MIN_CORRESPONDENCES = 6   # fewer matched points and ICP gives up
 SPECTRAL_CUTOFF = 1e-12   # relative eigenvalue cutoff for the 6x6 solve
 
 
@@ -225,7 +225,7 @@ def icp_point_to_plane(
         moved = transform.apply(source.points)
         idx, _ = index.nearest(moved, max_distance=max_dist)
         found = idx >= 0
-        if int(found.sum()) < MIN_ICP_CORRESPONDENCES:
+        if int(found.sum()) < MIN_CORRESPONDENCES:
             raise InsufficientOverlapError(
                 f"only {int(found.sum())} correspondences within {max_dist} m"
             )

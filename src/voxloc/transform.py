@@ -89,12 +89,6 @@ class RigidTransform:
     def identity(cls) -> RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def matrix3x4(self) -> np.ndarray:
         return np.hstack([self.rotation, self.translation[:, None]])
 
@@ -133,9 +127,6 @@ class Trajectory:
 
     def __iter__(self):
         return iter(self.poses)
-
-    def append(self, pose: RigidTransform) -> None:
-        self.poses.append(pose)
 
     def translations(self) -> np.ndarray:
         if not self.poses:

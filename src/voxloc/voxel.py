@@ -11,8 +11,6 @@ import numpy as np
 
 from .cloud import PointCloud
 
-VoxelKey = tuple[int, int, int]
-
 EIGENGAP_TOL = 1e-12  # below this the normal direction is ill-defined
 
 _COV_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -58,15 +56,13 @@ def _normals_from_covariances(
 class VoxelGrid:
     """Sparse mapping from integer voxel keys to cell statistics.
 
-    Cell data is stored columnar, one row per cell, in build order: sorted
-    keys from voxelize, then new cells of each insertion batch.
+    Cell data is stored columnar, one row per cell, in sorted key order.
     """
 
     def __init__(self, voxel_size: float):
         if not voxel_size > 0:
             raise ValueError("voxel_size must be strictly positive")
         self.voxel_size = float(voxel_size)
-        self._rows: dict[VoxelKey, int] | None = None  # built lazily
         self._keys = np.empty((0, 3), np.int64)
         self._counts = np.empty(0, np.int64)
         self._sums = np.empty((0, 3))
@@ -80,11 +76,6 @@ class VoxelGrid:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def _row_map(self) -> dict[VoxelKey, int]:
-        if self._rows is None:
-            self._rows = {k: i for i, k in enumerate(map(tuple, self._keys.tolist()))}
-        return self._rows
 
     @property
     def counts(self) -> np.ndarray:
@@ -125,29 +116,11 @@ class VoxelGrid:
 
     # -- construction -------------------------------------------------------
 
-    def _append_rows(self, keys, counts, sums, color_sums) -> None:
-        start = len(self._counts)
-        self._keys = np.concatenate([self._keys, keys])
-        self._counts = np.concatenate([self._counts, counts])
-        self._sums = np.concatenate([self._sums, sums])
-        m = len(counts)
-        self._cov = np.concatenate([self._cov, np.zeros((m, 3, 3))])
-        self._has_cov = np.concatenate([self._has_cov, np.zeros(m, bool)])
-        self._normals = np.concatenate([self._normals, np.zeros((m, 3))])
-        self._has_normal = np.concatenate([self._has_normal, np.zeros(m, bool)])
-        if self._color_sums is not None and color_sums is not None:
-            self._color_sums = np.concatenate([self._color_sums, color_sums])
-        else:
-            self._color_sums = None if start or color_sums is None else color_sums
-        if self._rows is not None:
-            self._rows.update(zip(map(tuple, keys.tolist()), range(start, start + len(counts))))
-
     def insert(self, points: np.ndarray) -> None:
         """Merge points into the grid, updating counts and means.
 
-        Covariances and normals of touched cells are cleared, and the colors
-        of the whole grid are dropped; this path exists for map accumulation,
-        where only means are consumed.
+        Covariances, normals and colors are cleared for the whole grid; this
+        path exists for map accumulation, where only means are consumed.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -155,17 +128,20 @@ class VoxelGrid:
         if len(pts) == 0:
             return
         keys, counts, sums, _ = _group_points(pts, self.voxel_size)
-        row_map = self._row_map()
-        rows = np.array([row_map.get(k, -1) for k in map(tuple, keys.tolist())], np.int64)
-        known = rows >= 0
-        if known.any():
-            r = rows[known]
-            self._counts[r] += counts[known]
-            self._sums[r] += sums[known]
-            self._has_cov[r] = False
-            self._has_normal[r] = False
-        if (~known).any():
-            self._append_rows(keys[~known], counts[~known], sums[~known], None)
+        # a key occurs at most once per side and the old row comes first, so
+        # bincount adds old + new per cell, from 0.0
+        self._keys, _, inverse = _group_keys(np.concatenate([self._keys, keys]))
+        m = len(self._keys)
+        both_counts = np.concatenate([self._counts, counts])
+        both_sums = np.concatenate([self._sums, sums])
+        self._counts = np.bincount(inverse, weights=both_counts, minlength=m).astype(np.int64)
+        self._sums = np.column_stack(
+            [np.bincount(inverse, weights=both_sums[:, a], minlength=m) for a in range(3)]
+        )
+        self._cov = np.zeros((m, 3, 3))
+        self._has_cov = np.zeros(m, bool)
+        self._normals = np.zeros((m, 3))
+        self._has_normal = np.zeros(m, bool)
         self._color_sums = None
 
     def evict_outside(self, center: np.ndarray, radius: float) -> None:
@@ -185,7 +161,6 @@ class VoxelGrid:
         self._has_normal = self._has_normal[keep]
         if self._color_sums is not None:
             self._color_sums = self._color_sums[keep]
-        self._rows = None
 
     def compute_normals(self, viewpoint: np.ndarray | None = None) -> None:
         """Estimate normals for every cell that has a covariance.
@@ -209,13 +184,13 @@ class VoxelGrid:
         self._has_normal[rows] = defined
 
 
-def _group_points(pts: np.ndarray, voxel_size: float):
-    """Group points by voxel key: (keys, counts, sums, inverse).
+def _group_keys(keys: np.ndarray):
+    """Unique rows of an (N, 3) integer key array in lexicographic order:
+    (unique keys, counts, inverse).
 
     Keys are packed into single integers so the dedup runs on a 1-D array;
     packing is monotone in lexicographic key order, so the output ordering
     matches a row-wise unique."""
-    keys = np.floor(pts / voxel_size).astype(np.int64)
     lo = keys.min(axis=0)
     shifted = keys - lo
     spans = shifted.max(axis=0) + 1
@@ -227,10 +202,14 @@ def _group_points(pts: np.ndarray, voxel_size: float):
         ukeys = np.column_stack([rest // spans[1], rest % spans[1], kz]) + lo
     else:
         ukeys, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
-    m = len(ukeys)
+    return ukeys, counts, inverse.reshape(-1)
+
+
+def _group_points(pts: np.ndarray, voxel_size: float):
+    """Group points by voxel key: (keys, counts, sums, inverse), keys sorted."""
+    ukeys, counts, inverse = _group_keys(np.floor(pts / voxel_size).astype(np.int64))
     sums = np.column_stack(
-        [np.bincount(inverse, weights=pts[:, a], minlength=m) for a in range(3)]
+        [np.bincount(inverse, weights=pts[:, a], minlength=len(ukeys)) for a in range(3)]
     )
     return ukeys, counts, sums, inverse
 
@@ -267,9 +246,9 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
             [np.bincount(inverse, weights=c[:, a], minlength=m) for a in range(3)]
         )
 
-    grid._append_rows(ukeys, counts, sums, color_sums)
-    grid._cov[:] = cov
-    grid._has_cov[:] = counts >= 3
+    grid._keys, grid._counts, grid._sums, grid._color_sums = ukeys, counts, sums, color_sums
+    grid._cov, grid._has_cov = cov, counts >= 3
+    grid._normals, grid._has_normal = np.zeros((m, 3)), np.zeros(m, bool)
     return grid
 
 

@@ -125,6 +125,23 @@ def test_labels_written_as_vertex_property(tmp_path):
     np.testing.assert_array_equal(read_ply(path).labels, [1, 4])
 
 
+@pytest.mark.parametrize("label", [2**31 + 5, -(2**31) - 1])
+def test_label_outside_int32_is_a_data_error(tmp_path, label):
+    # a PLY int label would wrap around (2**31 + 5 read back as -2147483643)
+    path = tmp_path / "lab.ply"
+    cloud = PointCloud(np.zeros((2, 3)), labels=np.array([1, label]))
+    with pytest.raises(DataError):
+        write_ply(path, cloud)
+    assert not path.exists()
+
+
+def test_int32_extreme_labels_round_trip(tmp_path):
+    path = tmp_path / "lab.ply"
+    labels = np.array([np.iinfo(np.int32).min, np.iinfo(np.int32).max])
+    write_ply(path, PointCloud(np.zeros((2, 3)), labels=labels))
+    np.testing.assert_array_equal(read_ply(path).labels, labels)
+
+
 def test_malformed_header_reports_line(tmp_path):
     path = tmp_path / "bad.ply"
     path.write_text(

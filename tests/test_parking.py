@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
-from voxloc.errors import DegenerateGeometryError
+from voxloc.errors import DegenerateGeometryError, ParseError
 from voxloc.parking import (
     OccupancyState,
     OrientedBox,
@@ -418,3 +418,16 @@ class TestSaveLoadSpaces:
             assert np.array_equal(got.box.centroid, want.box.centroid)
             assert np.array_equal(got.box.dims, want.box.dims)
             assert got.box.yaw == want.box.yaw
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '[{"id": 0}]',
+        '{"id": 0}',
+        '[{"id": 0, "centroid": [0, 0], "dims": [4, 2, 1.5], "yaw": 0, "state": "vacant"}]',
+        '[{"id": 0, "centroid": [0, 0, 0], "dims": [4, 2, 1.5], "yaw": 0, "state": "gone"}]',
+    ])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "spaces.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_spaces(path)

@@ -273,7 +273,7 @@ class TestRunPipeline:
     def test_written_poses_round_trip(self, completed_run):
         stored = read_poses(completed_run.artifacts["refined_poses"])
         for got, want in zip(stored, completed_run.refined_poses):
-            np.testing.assert_allclose(got.matrix(), want.matrix(), atol=1e-15)
+            np.testing.assert_allclose(got.matrix3x4(), want.matrix3x4(), atol=1e-15)
 
     def test_single_scan_self_localization(self, dataset, tmp_path):
         scan_dir = tmp_path / "scans"
@@ -567,6 +567,41 @@ class TestCli:
         assert rc == 2
         assert "input-error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_featureless_combined_cloud_is_a_stage_failure(self, dataset, tmp_path, capsys):
+        # a valid file whose content the coarse stage cannot use (20 points on
+        # a line give no cell a normal): exit 1, as run_pipeline reports the
+        # same DataError as error:coarse
+        line = np.zeros((20, 3))
+        line[:, 0] = np.linspace(0.0, 1.9, 20)
+        combined = tmp_path / "combined.ply"
+        write_ply(combined, PointCloud(line))
+        rc = main(["coarse", "--reference", str(dataset["reference"]),
+                   "--combined", str(combined), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "input-error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['[{"id": 0}]\n', "not json\n"])
+    @pytest.mark.parametrize("command", ["parking", "export-scene"])
+    def test_malformed_spaces_file_exits_two(self, dataset, tmp_path, capsys, command, text):
+        spaces = tmp_path / "spaces.json"
+        spaces.write_text(text)
+        argv = [command, "--reference", str(dataset["reference"]), "--spaces", str(spaces),
+                "--out-dir", str(tmp_path / "out")]
+        if command == "parking":
+            argv += ["--update-cloud", str(dataset["reference"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input-error" in err
+        assert str(spaces) in err
+
+    @pytest.mark.parametrize("command", ["pipeline", "export-scene"])
+    def test_directory_as_reference_exits_two(self, dataset, tmp_path, capsys, command):
+        argv = [command, "--reference", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+        if command == "pipeline":
+            argv += ["--scans", str(dataset["scans"])]
+        assert main(argv) == 2
+        assert "input-error" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_two(self, dataset, tmp_path, capsys):
         bad = tmp_path / "config.json"

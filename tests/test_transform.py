@@ -100,8 +100,11 @@ class TestRigidTransform:
     def test_compose_matches_matrix_product(self, rng):
         a = RigidTransform(rotation_exp(rng.normal(size=3)), rng.normal(size=3))
         b = RigidTransform(rotation_exp(rng.normal(size=3)), rng.normal(size=3))
-        got = (a @ b).matrix()
-        np.testing.assert_allclose(got, a.matrix() @ b.matrix(), atol=1e-12)
+        def homogeneous(t):
+            return np.vstack([t.matrix3x4(), [0.0, 0.0, 0.0, 1.0]])
+
+        got = homogeneous(a @ b)
+        np.testing.assert_allclose(got, homogeneous(a) @ homogeneous(b), atol=1e-12)
 
     def test_compose_is_closed(self, rng):
         t = RigidTransform.identity()
@@ -127,12 +130,11 @@ class TestRigidTransform:
 
     def test_matrix_round_trip(self, rng):
         t = RigidTransform(rotation_exp(rng.normal(size=3)), rng.normal(size=3))
-        m = t.matrix()
-        again = RigidTransform(m[:3, :3], m[:3, 3])
+        m = t.matrix3x4()
+        assert m.shape == (3, 4)
+        again = RigidTransform(m[:, :3], m[:, 3])
         assert np.array_equal(again.rotation, t.rotation)
         assert np.array_equal(again.translation, t.translation)
-        np.testing.assert_array_equal(m[3], [0.0, 0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(t.matrix3x4(), m[:3])
 
 
 class TestTrajectory:
@@ -143,10 +145,9 @@ class TestTrajectory:
         assert traj[2] is poses[2]
         assert list(iter(traj)) == poses
 
-    def test_append_and_translations(self):
-        traj = Trajectory([])
-        traj.append(RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])))
-        traj.append(RigidTransform(np.eye(3), np.array([4.0, 5.0, 6.0])))
+    def test_translations_stack_in_pose_order(self):
+        traj = Trajectory([RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])),
+                           RigidTransform(np.eye(3), np.array([4.0, 5.0, 6.0]))])
         np.testing.assert_array_equal(traj.translations(),
                                       [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 

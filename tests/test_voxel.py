@@ -333,11 +333,11 @@ class TestInsertEvict:
         assert (np.linalg.norm(grid.means - center, axis=1) <= 5.0).all()
 
     def test_evict_then_lookup_still_consistent(self, rng):
-        # insert looks cells up by key: after eviction a kept cell must still
-        # be found in its new row, and an evicted one must come back as new
+        # after an eviction, insert must still merge into a kept cell at its
+        # new row, and an evicted one must come back as a new cell
         pts = rng.uniform(-4.0, 4.0, size=(800, 3))
         grid = voxelize(PointCloud(pts), 0.5)
-        grid.insert(pts[:1])  # builds the key lookup before the eviction
+        grid.insert(pts[:1])
         grid.evict_outside(np.zeros(3), 2.0)
         assert [7, 7, 7] not in grid.keys_array.tolist()
         expected = grid.counts.copy()
