@@ -210,7 +210,9 @@ def icp_point_to_plane(
     Correspondences run from transformed source points to the nearest cell
     mean within the configured distance; each iteration minimizes the sum of
     squared point-to-plane residuals through the small-angle linearization
-    and composes the increment on the left.
+    about the centroid of its correspondences, so georeferenced coordinates
+    far from the origin neither lengthen the rotation's lever arm nor tie
+    rotation to translation, and composes the increment on the left.
     """
     if len(source) == 0:
         raise ValueError("source cloud is empty")
@@ -233,11 +235,13 @@ def icp_point_to_plane(
         q = means[idx[found]]
         nrm = normals[idx[found]]
         residual = ((p - q) * nrm).sum(axis=1)
-        jac = np.hstack([np.cross(p, nrm), nrm])
+        c = p.mean(axis=0)
+        jac = np.hstack([np.cross(p - c, nrm), nrm])
         system = jac.T @ jac
         gradient = jac.T @ (-residual)
         x = _solve_normal_equations(system, gradient)
-        step = RigidTransform(rotation_exp(x[:3]), x[3:])
+        rotation = rotation_exp(x[:3])
+        step = RigidTransform(rotation, c - rotation @ c + x[3:])
         transform = step @ transform
         if float(np.linalg.norm(x)) < config.icp_convergence_eps:
             converged = True

@@ -17,7 +17,7 @@ from voxloc.cli import main
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig, config_hash
 from voxloc.errors import DataError
-from voxloc.io import read_ply, read_poses, write_ply
+from voxloc.io import read_ply, read_poses, write_ply, write_poses
 from voxloc.odometry import combine_scans
 from voxloc.parking import OccupancyState, OrientedBox, ParkingSpace
 from voxloc.pipeline import (
@@ -31,7 +31,7 @@ from voxloc.pipeline import (
     write_synthetic_dataset,
 )
 from voxloc.synthetic import SceneSpec, generate_synthetic_scene
-from voxloc.transform import RigidTransform, rotation_exp, rotation_log
+from voxloc.transform import RigidTransform, Trajectory, rotation_exp, rotation_log
 from voxloc.voxel import VoxelGrid, downsample, voxelize
 
 _SMALL_SPEC = SceneSpec(
@@ -291,6 +291,28 @@ class TestRunPipeline:
         pose = result.refined_poses[0]
         assert np.linalg.norm(pose.translation) < 1e-3
         assert np.linalg.norm(rotation_log(pose.rotation)) < 1e-3
+
+    def test_georeferenced_offset_keeps_the_accuracy(self, dataset, completed_run, tmp_path):
+        # the same street and ground truth moved to UTM-scale coordinates
+        # must localize as well as at the origin
+        offset = np.array([5e5, 5e6, 300.0])
+        reference = read_ply(dataset["reference"])
+        moved = PointCloud(reference.points + offset, reference.colors, reference.labels)
+        write_ply(tmp_path / "reference.ply", moved)
+        shift = RigidTransform(np.eye(3), offset)
+        truth = Trajectory([shift @ pose for pose in read_poses(dataset["gt_poses"])])
+        write_poses(tmp_path / "gt_poses.txt", truth)
+        run = PipelineRun(
+            config=PipelineConfig(),
+            reference_path=tmp_path / "reference.ply",
+            scan_dir=dataset["scans"],
+            out_dir=tmp_path / "out",
+            gt_poses_path=tmp_path / "gt_poses.txt",
+            seed=0,
+        )
+        result = run_pipeline(run)
+        assert result.status == "ok"
+        assert abs(result.errors.xy.mean() - completed_run.errors.xy.mean()) < 1e-4
 
     def test_missing_reference_is_input_error(self, dataset, tmp_path):
         run = PipelineRun(
