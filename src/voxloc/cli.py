@@ -182,7 +182,9 @@ def _cmd_eval(args) -> int:
     estimated = load_input(read_poses, args.est, "estimated poses")
     ground_truth = load_input(read_poses, args.gt_poses, "ground-truth poses")
     if len(estimated) != len(ground_truth):
-        raise PipelineInputError(f"{len(estimated)} estimated poses vs {len(ground_truth)} ground truth")
+        raise PipelineInputError(
+            f"{len(estimated)} estimated poses vs {len(ground_truth)} ground truth"
+        )
     errors = evaluate_trajectory(estimated, ground_truth)
     out = _out_dir(args)
     write_errors_csv(out / "errors.csv", errors)
@@ -289,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineInputError as exc:
         print(f"error: input-error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except Exception as exc:  # noqa: BLE001 - every other failure is a stage failure
+    except Exception as exc:  # noqa: BLE001 - stage failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
 

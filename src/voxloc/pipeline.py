@@ -94,12 +94,12 @@ def list_scan_files(scan_dir: str | Path) -> list[Path]:
 
 
 def load_input(reader, path: str | Path, what: str):
-    """reader(path), with a file that cannot be read or checked (OSError,
-    ParseError, DataError, ConfigError) raised as a PipelineInputError that
-    names it."""
+    """reader(path), with a file that cannot be read, decoded or checked
+    (OSError, UnicodeDecodeError, ParseError, DataError, ConfigError) raised
+    as a PipelineInputError that names it."""
     try:
         return reader(path)
-    except (OSError, ParseError, DataError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, DataError, ConfigError) as exc:
         raise PipelineInputError(f"{what} {path}: {exc}") from exc
 
 

@@ -355,6 +355,22 @@ class TestRunPipeline:
         result = run_pipeline(run)
         assert result.exit_code == 2
 
+    def test_undecodable_pose_file_is_input_error(self, dataset, tmp_path):
+        binary = tmp_path / "gt.txt"
+        binary.write_bytes(b"\xff\xfe\x00 not text\n")
+        run = PipelineRun(
+            config=PipelineConfig(),
+            reference_path=dataset["reference"],
+            scan_dir=dataset["scans"],
+            out_dir=tmp_path / "out",
+            gt_poses_path=binary,
+            seed=0,
+        )
+        result = run_pipeline(run)
+        assert result.status == "input-error"
+        assert result.exit_code == 2
+        assert str(binary) in result.message
+
     def test_stage_failure_leaves_no_artifacts(self, dataset, tmp_path):
         reference = read_ply(dataset["reference"])
         tiny_path = tmp_path / "tiny.ply"
