@@ -1,34 +1,47 @@
 """Sequential scan-to-map odometry used to combine scans into one cloud.
 
-Scans register against a 0.1 m local map of accumulated points with
-point-to-point ICP and a Huber kernel. A constant-velocity model predicts
-each pose; an adaptive correspondence threshold follows the running deviation
-between prediction and estimate.
+Each scan registers with point-to-plane ICP against the local map: one voxel
+grid at REGISTRATION_SCALE * voxel_size_fine (0.5 m by default) that keeps
+every cell's second moments through insertion and eviction, so the map's
+normals are estimated afresh from all its points before each registration.
+The scan is downsampled on the map's own grid, so a repeated scan's
+registration points are exactly the map's cell means. As in KISS-ICP (Vizzo
+et al., RA-L 2023), residuals carry Geman-McClure weights with kernel scale
+k = threshold / 3, and a registration stops once its step norm falls below
+CONVERGENCE_EPS; the configured icp_convergence_eps is fine ICP's. A
+constant-velocity model predicts each pose; the adaptive correspondence
+threshold follows the running deviation between prediction and estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cloud import PointCloud, concat_clouds
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError, InsufficientOverlapError
-from .registration import MIN_CORRESPONDENCES, estimate_rigid
+from .registration import icp_point_to_plane
 from .spatial import SpatialIndex
-from .transform import RigidTransform, Trajectory, orthonormalize_rotation, rotation_log
+from .transform import RigidTransform, Trajectory, orthonormalize_rotation
 from .voxel import VoxelGrid, downsample, voxelize
 
 DEFAULT_THRESHOLD = 1.0     # correspondence bound until the deviation model warms up
-REGISTRATION_SCALE = 5.0    # registration downsample = scale * target grid voxel size
+REGISTRATION_SCALE = 5.0    # local map voxel size = scale * voxel_size_fine
 MAP_RANGE = 100.0           # cells farther than this from the pose are evicted
+# step norm that ends a registration, KISS-ICP's; at 1e-6 points near the
+# boundary between two cell means can switch back and forth and keep a
+# registration cycling, with steps of 3e-5 to 1.3e-4, to the iteration cap
+CONVERGENCE_EPS = 1e-4
 
 
 @dataclass
 class OdometryState:
     poses: list[RigidTransform] = field(default_factory=list)
-    local_map: VoxelGrid = field(default_factory=lambda: VoxelGrid(0.1))
+    local_map: VoxelGrid = field(
+        default_factory=lambda: VoxelGrid(REGISTRATION_SCALE * PipelineConfig.voxel_size_fine)
+    )
     deviation_count: int = 0
     deviation_sum_sq: float = 0.0
     rejected: list[int] = field(default_factory=list)
@@ -55,46 +68,11 @@ def adaptive_threshold(state: OdometryState, default: float = DEFAULT_THRESHOLD)
     return float(np.clip(3.0 * sigma, 0.1 * default, default))
 
 
-def _huber_weights(dist: np.ndarray, scale: float) -> np.ndarray:
-    w = np.ones_like(dist)
-    far = dist > scale
-    w[far] = scale / dist[far]
-    return w
-
-
-def _register_to_map(
-    points: np.ndarray,
-    target: SpatialIndex,
-    init: RigidTransform,
-    threshold: float,
-    config: PipelineConfig,
-) -> RigidTransform:
-    """Point-to-point ICP with Huber weights, scale = threshold / 3."""
-    transform = init
-    huber_scale = threshold / 3.0
-    for _ in range(config.icp_max_iterations):
-        moved = transform.apply(points)
-        idx, dist = target.nearest(moved, max_distance=threshold)
-        found = idx >= 0
-        if int(found.sum()) < MIN_CORRESPONDENCES:
-            raise InsufficientOverlapError(
-                f"only {int(found.sum())} map correspondences within {threshold:.3g} m"
-            )
-        weights = _huber_weights(dist[found], huber_scale)
-        step = estimate_rigid(moved[found], target.points[idx[found]], weights)
-        transform = step @ transform
-        update = np.concatenate([rotation_log(step.rotation), step.translation])
-        if float(np.linalg.norm(update)) < config.icp_convergence_eps:
-            break
-    return RigidTransform(orthonormalize_rotation(transform.rotation), transform.translation)
-
-
 def register_scan(
     state: OdometryState,
     scan: PointCloud,
     config: PipelineConfig,
     *,
-    registration_voxel_size: float | None = None,
     default_threshold: float = DEFAULT_THRESHOLD,
 ) -> RigidTransform:
     """Register one scan against the local map and fold it in.
@@ -105,20 +83,33 @@ def register_scan(
     """
     if len(scan) == 0:
         raise ValueError("scan is empty")
-    if registration_voxel_size is None:
-        registration_voxel_size = REGISTRATION_SCALE * state.local_map.voxel_size
 
     prediction = predict_motion(state)
     scan_index = len(state.poses)
+    grid = state.local_map
     accepted = True
-    if len(state.local_map) == 0:
+    if len(grid) == 0:
         pose = RigidTransform.identity()
     else:
         threshold = adaptive_threshold(state, default_threshold)
-        sparse = downsample(voxelize(scan, registration_voxel_size))
-        target = SpatialIndex(state.local_map.means)
+        sparse = downsample(voxelize(scan, grid.voxel_size))
+        grid.compute_normals()
         try:
-            pose = _register_to_map(sparse.points, target, prediction, threshold, config)
+            result = icp_point_to_plane(
+                sparse,
+                SpatialIndex(grid.means),
+                grid.normals,
+                prediction,
+                replace(
+                    config,
+                    icp_max_correspondence_distance=threshold,
+                    icp_convergence_eps=CONVERGENCE_EPS,
+                ),
+                kernel=threshold / 3.0,
+            )
+            pose = RigidTransform(
+                orthonormalize_rotation(result.transform.rotation), result.transform.translation
+            )
         except (InsufficientOverlapError, DegenerateGeometryError):
             pose = prediction
             accepted = False
@@ -129,8 +120,8 @@ def register_scan(
     state.deviation_sum_sq += deviation**2
     state.poses.append(pose)
     if accepted:
-        state.local_map.insert(pose.apply(scan.points))
-        state.local_map.evict_outside(pose.translation, MAP_RANGE)
+        grid.insert(pose.apply(scan.points))
+        grid.evict_outside(pose.translation, MAP_RANGE)
     return pose
 
 
@@ -138,7 +129,6 @@ def combine_scans(
     scans: list[PointCloud],
     config: PipelineConfig,
     *,
-    registration_voxel_size: float | None = None,
     state: OdometryState | None = None,
 ) -> tuple[PointCloud, Trajectory]:
     """Chain scans through odometry; returns the union of the transformed
@@ -150,8 +140,8 @@ def combine_scans(
     if not scans:
         raise ValueError("no scans to combine")
     if state is None:
-        state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        state = OdometryState(local_map=VoxelGrid(REGISTRATION_SCALE * config.voxel_size_fine))
     for scan in scans:
-        register_scan(state, scan, config, registration_voxel_size=registration_voxel_size)
+        register_scan(state, scan, config)
     parts = [scan.transformed(pose) for scan, pose in zip(scans, state.poses)]
     return concat_clouds(parts), Trajectory(list(state.poses))

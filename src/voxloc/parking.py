@@ -18,7 +18,7 @@ import numpy as np
 from .cloud import PointCloud
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError, ParseError
-from .voxel import _group_points
+from .voxel import _group_keys
 
 CONTAINMENT_SLACK = 1e-9  # absolute slack on box boundaries, in meters
 _CELL_MARGIN = 1.0 - 1e-6  # keeps a cell's diagonal below distance despite rounding
@@ -89,9 +89,8 @@ def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> li
     # Cells are keyed on coordinates relative to the cloud's corner, so the
     # rounding of the keys scales with the cloud's extent, not its position;
     # _CELL_MARGIN covers that rounding for extents up to about 1e9 cells.
-    keys, counts, _, inverse = _group_points(
-        pts - pts.min(axis=0), distance / np.sqrt(3.0) * _CELL_MARGIN
-    )
+    cell = distance / np.sqrt(3.0) * _CELL_MARGIN
+    keys, counts, inverse = _group_keys(np.floor((pts - pts.min(axis=0)) / cell).astype(np.int64))
     order = np.argsort(inverse, kind="stable")
     sorted_pts = pts[order]
     starts = np.cumsum(counts) - counts

@@ -278,7 +278,9 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         reference_fine.compute_normals()
 
         stage = "odometry"
-        odometry_state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        odometry_state = OdometryState(
+            local_map=VoxelGrid(REGISTRATION_SCALE * config.voxel_size_fine)
+        )
         combined, odometry_poses = combine_scans(scans, config, state=odometry_state)
 
         stage = "coarse"

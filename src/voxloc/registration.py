@@ -9,7 +9,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import PipelineConfig
-from .errors import DegenerateGeometryError, InsufficientOverlapError
+from .errors import DataError, DegenerateGeometryError, InsufficientOverlapError
 from .spatial import SpatialIndex
 from .transform import RigidTransform, rotation_exp
 from .voxel import VoxelGrid
@@ -37,15 +37,11 @@ class RegistrationResult:
     converged: bool
 
 
-def estimate_rigid(
-    source: np.ndarray, target: np.ndarray, weights: np.ndarray | None = None
-) -> RigidTransform:
-    """(Weighted) least-squares rigid motion mapping source points onto target
-    points.
+def estimate_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
+    """Least-squares rigid motion mapping source points onto target points.
 
-    Closed form via SVD of the weighted cross-covariance about the weighted
-    centroids, with determinant-sign correction, so the result is always a
-    proper rotation. Weights default to one per pair; they must be positive.
+    Closed form via SVD of the cross-covariance about the centroids, with
+    determinant-sign correction, so the result is always a proper rotation.
     """
     a = np.asarray(source, dtype=float)
     b = np.asarray(target, dtype=float)
@@ -53,16 +49,12 @@ def estimate_rigid(
         raise ValueError("source and target must be matching (N, 3) arrays")
     if len(a) < 3:
         raise ValueError("need at least 3 point pairs")
-    w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (len(a),):
-        raise ValueError("weights must hold one value per point pair")
-    wsum = w.sum()
-    centroid_a = (w[:, None] * a).sum(axis=0) / wsum
-    centroid_b = (w[:, None] * b).sum(axis=0) / wsum
+    centroid_a = a.mean(axis=0)
+    centroid_b = b.mean(axis=0)
     a0 = a - centroid_a
     b0 = b - centroid_b
 
-    h = (w[:, None] * a0).T @ b0
+    h = a0.T @ b0
     u, s, vt = np.linalg.svd(h)
     if not s[0] > 0.0 or s[1] < 1e-12 * s[0]:
         raise DegenerateGeometryError("point pairs are coincident or collinear")
@@ -120,12 +112,20 @@ def ransac_coarse(
     config: PipelineConfig,
     seed: int,
 ) -> RegistrationResult:
-    """Feature-based coarse alignment.
+    """Feature-based coarse alignment over mutual descriptor matches.
 
-    Each iteration samples 3 distinct source points, takes their descriptor
-    matches, prunes samples whose pairwise edges disagree with the matched
-    target edges by more than 10%, estimates the rigid motion, and scores it
-    against the full source cloud. Candidates rank by (fitness, lower rmse).
+    A source point is kept only if the nearest source descriptor of its
+    matched target is its own. Each iteration samples 3 kept matches, prunes
+    samples whose pairwise edges disagree with the matched target edges by
+    more than 10%, and estimates the rigid motion. Hypotheses rank by their
+    inlier share w: the share of kept matches mapped within
+    ransac_distance_threshold of their targets. Only a hypothesis that raises
+    w is scored against the full source cloud, for the fitness and RMSE the
+    result reports. The search stops once 1 - (1 - w^3)^k reaches
+    ransac_confidence after k iterations.
+
+    Raises DataError when fewer than 3 mutual matches remain or no hypothesis
+    maps a kept match within the threshold.
     """
     if len(source) < 3 or len(target) < 3:
         raise ValueError("coarse registration needs at least 3 points per side")
@@ -133,20 +133,26 @@ def ransac_coarse(
         raise ValueError("descriptors must align with their point clouds")
 
     matches, _ = match_fpfh(source_desc, target_desc)
+    matched, slot = np.unique(matches, return_inverse=True)
+    back, _ = match_fpfh(target_desc[matched], source_desc)
+    kept = np.flatnonzero(back[slot] == np.arange(len(matches)))
+    if len(kept) < 3:
+        raise DataError(f"only {len(kept)} mutual descriptor matches")
+    src = source.points[kept]
+    tgt = target.points[matches[kept]]
     target_index = SpatialIndex(target.points)
-    src = source.points
-    tgt = target.points
     threshold = config.ransac_distance_threshold
     rng = np.random.default_rng(seed)
 
     best: RegistrationResult | None = None
+    best_inliers = 0
     iteration = 0
     converged = False
     while iteration < config.ransac_max_iterations:
         iteration += 1
         sample = rng.choice(len(src), size=3, replace=False)
         s3 = src[sample]
-        t3 = tgt[matches[sample]]
+        t3 = tgt[sample]
 
         ok = True
         for i in range(3):
@@ -162,22 +168,24 @@ def ransac_coarse(
             except DegenerateGeometryError:
                 ok = False
         if ok:
-            fitness, rmse = evaluate_alignment(source, target_index, candidate, threshold)
-            if (
-                best is None
-                or fitness > best.fitness
-                or (fitness == best.fitness and rmse < best.inlier_rmse)
-            ):
+            residual = np.linalg.norm(candidate.apply(src) - tgt, axis=1)
+            inliers = int((residual <= threshold).sum())
+            if inliers > best_inliers:
+                best_inliers = inliers
+                fitness, rmse = evaluate_alignment(source, target_index, candidate, threshold)
                 best = RegistrationResult(candidate, fitness, rmse, iteration, False)
 
-        if best is not None and best.fitness > 0.0:
-            confidence = 1.0 - (1.0 - best.fitness**3) ** iteration
+        if best is not None:
+            confidence = 1.0 - (1.0 - (best_inliers / len(src)) ** 3) ** iteration
             if confidence >= config.ransac_confidence:
                 converged = True
                 break
 
     if best is None:
-        return RegistrationResult(RigidTransform.identity(), 0.0, 0.0, iteration, False)
+        raise DataError(
+            f"no RANSAC hypothesis maps a mutual match within {threshold:.3g} m "
+            f"in {iteration} iterations"
+        )
     return RegistrationResult(best.transform, best.fitness, best.inlier_rmse, iteration, converged)
 
 
@@ -203,16 +211,21 @@ def icp_point_to_plane(
     normals: np.ndarray,
     init: RigidTransform,
     config: PipelineConfig,
+    kernel: float | None = None,
 ) -> RegistrationResult:
-    """Refine an alignment of a cloud against planar cells, as planar_cells
-    returns them: an index over the cell means and one normal per mean.
+    """Refine an alignment of a cloud against cells with normals: an index
+    over the cell means and one normal per mean, as planar_cells returns them.
+    A cell with a zero normal may stay in the index; it adds nothing to the
+    normal equations.
 
     Correspondences run from transformed source points to the nearest cell
-    mean within the configured distance; each iteration minimizes the sum of
-    squared point-to-plane residuals through the small-angle linearization
-    about the centroid of its correspondences, so georeferenced coordinates
-    far from the origin neither lengthen the rotation's lever arm nor tie
-    rotation to translation, and composes the increment on the left.
+    mean within icp_max_correspondence_distance; each iteration minimizes the
+    sum of squared point-to-plane residuals r through the small-angle
+    linearization about the centroid of its correspondences, so georeferenced
+    coordinates far from the origin neither lengthen the rotation's lever arm
+    nor tie rotation to translation, and composes the increment on the left.
+    With a kernel k, each residual is weighted by the Geman-McClure weight
+    k^2 / (k + r^2)^2, as in KISS-ICP (Vizzo et al., RA-L 2023).
     """
     if len(source) == 0:
         raise ValueError("source cloud is empty")
@@ -237,8 +250,11 @@ def icp_point_to_plane(
         residual = ((p - q) * nrm).sum(axis=1)
         c = p.mean(axis=0)
         jac = np.hstack([np.cross(p - c, nrm), nrm])
-        system = jac.T @ jac
-        gradient = jac.T @ (-residual)
+        weighted = jac
+        if kernel is not None:
+            weighted = jac * (kernel**2 / (kernel + residual**2) ** 2)[:, None]
+        system = weighted.T @ jac
+        gradient = weighted.T @ (-residual)
         x = _solve_normal_equations(system, gradient)
         rotation = rotation_exp(x[:3])
         step = RigidTransform(rotation, c - rotation @ c + x[3:])

@@ -56,7 +56,12 @@ def _normals_from_covariances(
 class VoxelGrid:
     """Sparse mapping from integer voxel keys to cell statistics.
 
-    Cell data is stored columnar, one row per cell, in sorted key order.
+    Cell data is stored columnar, one row per cell, in sorted key order: the
+    point count, and the sum and second moments (xx, xy, xz, yy, yz, zz) of
+    the points relative to the voxel's corner ``key * voxel_size``. Means and
+    covariances derive from these, so merging two grids is adding their rows,
+    and the small relative coordinates keep the one-pass covariance exact to
+    rounding even at georeferenced (UTM-scale) positions.
     """
 
     def __init__(self, voxel_size: float):
@@ -66,8 +71,7 @@ class VoxelGrid:
         self._keys = np.empty((0, 3), np.int64)
         self._counts = np.empty(0, np.int64)
         self._sums = np.empty((0, 3))
-        self._cov = np.empty((0, 3, 3))
-        self._has_cov = np.empty(0, bool)
+        self._moments = np.empty((0, 6))
         self._normals = np.empty((0, 3))
         self._has_normal = np.empty(0, bool)
         self._color_sums: np.ndarray | None = None
@@ -89,15 +93,15 @@ class VoxelGrid:
     def means(self) -> np.ndarray:
         if len(self) == 0:
             return np.empty((0, 3))
-        return self._sums / self._counts[:, None]
+        return self._keys * self.voxel_size + self._sums / self._counts[:, None]
 
     @property
     def covariances(self) -> np.ndarray:
-        return self._cov
+        return _covariances(self._counts, self._sums, self._moments)
 
     @property
     def has_covariance(self) -> np.ndarray:
-        return self._has_cov
+        return self._counts >= 3
 
     @property
     def normals(self) -> np.ndarray:
@@ -117,29 +121,30 @@ class VoxelGrid:
     # -- construction -------------------------------------------------------
 
     def insert(self, points: np.ndarray) -> None:
-        """Merge points into the grid, updating counts and means.
+        """Merge points into the grid: counts, sums and second moments of a
+        cell become those of the union of its old and new points, so means and
+        covariances match a voxelize of everything inserted.
 
-        Covariances, normals and colors are cleared for the whole grid; this
-        path exists for map accumulation, where only means are consumed.
+        Normals and colors are cleared for the whole grid; compute_normals
+        estimates the normals again from the merged covariances.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("expected an (N, 3) array")
         if len(pts) == 0:
             return
-        keys, counts, sums, _ = _group_points(pts, self.voxel_size)
+        keys, counts, sums, moments, _ = _group_points(pts, self.voxel_size)
         # a key occurs at most once per side and the old row comes first, so
         # bincount adds old + new per cell, from 0.0
         self._keys, _, inverse = _group_keys(np.concatenate([self._keys, keys]))
         m = len(self._keys)
-        both_counts = np.concatenate([self._counts, counts])
-        both_sums = np.concatenate([self._sums, sums])
-        self._counts = np.bincount(inverse, weights=both_counts, minlength=m).astype(np.int64)
-        self._sums = np.column_stack(
-            [np.bincount(inverse, weights=both_sums[:, a], minlength=m) for a in range(3)]
-        )
-        self._cov = np.zeros((m, 3, 3))
-        self._has_cov = np.zeros(m, bool)
+        both = np.vstack([
+            np.column_stack([self._counts, self._sums, self._moments]),
+            np.column_stack([counts, sums, moments]),
+        ])
+        merged = np.column_stack([np.bincount(inverse, weights=col, minlength=m) for col in both.T])
+        self._counts = merged[:, 0].astype(np.int64)
+        self._sums, self._moments = merged[:, 1:4], merged[:, 4:]
         self._normals = np.zeros((m, 3))
         self._has_normal = np.zeros(m, bool)
         self._color_sums = None
@@ -155,21 +160,21 @@ class VoxelGrid:
         self._keys = self._keys[keep]
         self._counts = self._counts[keep]
         self._sums = self._sums[keep]
-        self._cov = self._cov[keep]
-        self._has_cov = self._has_cov[keep]
+        self._moments = self._moments[keep]
         self._normals = self._normals[keep]
         self._has_normal = self._has_normal[keep]
         if self._color_sums is not None:
             self._color_sums = self._color_sums[keep]
 
     def compute_normals(self, viewpoint: np.ndarray | None = None) -> None:
-        """Estimate normals for every cell that has a covariance.
+        """Estimate normals for every cell that has a covariance; the others
+        keep a zero normal.
 
         viewpoint orients the signs: a single point (3,) or one anchor per
         cell (len(grid), 3)."""
         self._normals = np.zeros((len(self), 3))
         self._has_normal = np.zeros(len(self), bool)
-        rows = np.flatnonzero(self._has_cov)
+        rows = np.flatnonzero(self.has_covariance)
         if rows.size == 0:
             return
         vp = viewpoint
@@ -177,11 +182,22 @@ class VoxelGrid:
             vp = np.asarray(vp, dtype=float)
             if vp.ndim == 2:
                 vp = vp[rows]
-        normals, defined = _normals_from_covariances(
-            self._cov[rows], self.means[rows], vp
-        )
+        cov = _covariances(self._counts[rows], self._sums[rows], self._moments[rows])
+        normals, defined = _normals_from_covariances(cov, self.means[rows], vp)
         self._normals[rows] = np.where(defined[:, None], normals, 0.0)
         self._has_normal[rows] = defined
+
+
+def _covariances(counts: np.ndarray, sums: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Sample covariances (M - S Sᵀ / n) / (n - 1) from point counts, sums S
+    and second moments M; a cell of one point gets zeros."""
+    products = np.column_stack([sums[:, a] * sums[:, b] for a, b in _COV_PAIRS])
+    flat = moments - products / counts[:, None]
+    flat /= np.maximum(counts - 1, 1)[:, None]
+    cov = np.empty((len(counts), 3, 3))
+    for col, (a, b) in enumerate(_COV_PAIRS):
+        cov[:, a, b] = cov[:, b, a] = flat[:, col]
+    return cov
 
 
 def _group_keys(keys: np.ndarray):
@@ -206,12 +222,21 @@ def _group_keys(keys: np.ndarray):
 
 
 def _group_points(pts: np.ndarray, voxel_size: float):
-    """Group points by voxel key: (keys, counts, sums, inverse), keys sorted."""
-    ukeys, counts, inverse = _group_keys(np.floor(pts / voxel_size).astype(np.int64))
+    """Group points by voxel key: (keys, counts, sums, moments, inverse), keys
+    sorted; sums and second moments (_COV_PAIRS order) are of the points
+    relative to their voxel's corner."""
+    point_keys = np.floor(pts / voxel_size).astype(np.int64)
+    ukeys, counts, inverse = _group_keys(point_keys)
+    local = pts - point_keys * voxel_size
+    m = len(ukeys)
     sums = np.column_stack(
-        [np.bincount(inverse, weights=pts[:, a], minlength=len(ukeys)) for a in range(3)]
+        [np.bincount(inverse, weights=local[:, a], minlength=m) for a in range(3)]
     )
-    return ukeys, counts, sums, inverse
+    moments = np.column_stack(
+        [np.bincount(inverse, weights=local[:, a] * local[:, b], minlength=m)
+         for a, b in _COV_PAIRS]
+    )
+    return ukeys, counts, sums, moments, inverse
 
 
 def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
@@ -221,24 +246,8 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     if len(pts) == 0:
         return grid
 
-    ukeys, counts, sums, inverse = _group_points(pts, voxel_size)
+    ukeys, counts, sums, moments, inverse = _group_points(pts, voxel_size)
     m = len(ukeys)
-    means = sums / counts[:, None]
-    centered = pts - means[inverse]
-
-    flat = np.empty((m, 6))
-    for col, (a, b) in enumerate(_COV_PAIRS):
-        flat[:, col] = np.bincount(inverse, weights=centered[:, a] * centered[:, b], minlength=m)
-    denom = np.maximum(counts - 1, 1).astype(float)
-    cov = np.empty((m, 3, 3))
-    cov[:, 0, 0] = flat[:, 0]
-    cov[:, 0, 1] = cov[:, 1, 0] = flat[:, 1]
-    cov[:, 0, 2] = cov[:, 2, 0] = flat[:, 2]
-    cov[:, 1, 1] = flat[:, 3]
-    cov[:, 1, 2] = cov[:, 2, 1] = flat[:, 4]
-    cov[:, 2, 2] = flat[:, 5]
-    cov /= denom[:, None, None]
-
     color_sums = None
     if cloud.colors is not None:
         c = cloud.colors.astype(float)
@@ -246,8 +255,8 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
             [np.bincount(inverse, weights=c[:, a], minlength=m) for a in range(3)]
         )
 
-    grid._keys, grid._counts, grid._sums, grid._color_sums = ukeys, counts, sums, color_sums
-    grid._cov, grid._has_cov = cov, counts >= 3
+    grid._keys, grid._counts, grid._sums, grid._moments = ukeys, counts, sums, moments
+    grid._color_sums = color_sums
     grid._normals, grid._has_normal = np.zeros((m, 3)), np.zeros(m, bool)
     return grid
 

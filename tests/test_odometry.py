@@ -126,12 +126,12 @@ class TestRegisterScan:
         assert state.rejected == []
 
     def test_repeated_static_scans_stay_at_identity(self, street_scene, config):
-        # registration sampled at the map cell size makes the registration
-        # points coincide with the map means for a repeated scan
+        # scans are downsampled on the map's grid, so a repeated scan's
+        # registration points coincide with the map means
         _, scans, _ = street_scene
-        state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        state = OdometryState()
         for _ in range(4):
-            register_scan(state, scans[0], config, registration_voxel_size=0.1)
+            register_scan(state, scans[0], config)
         for pose in state.poses:
             assert np.linalg.norm(pose.translation) < 1e-6
             assert np.linalg.norm(rotation_log(pose.rotation)) < 1e-6
@@ -177,8 +177,7 @@ class TestCombineScans:
 
     def test_static_pair_second_pose_is_identity(self, street_scene, config):
         _, scans, _ = street_scene
-        _, trajectory = combine_scans([scans[0], scans[0]], config,
-                                      registration_voxel_size=0.1)
+        _, trajectory = combine_scans([scans[0], scans[0]], config)
         second = trajectory.poses[1]
         assert np.linalg.norm(second.translation) < 1e-6
         assert np.linalg.norm(rotation_log(second.rotation)) < 1e-6

@@ -43,6 +43,9 @@ _SMALL_SPEC = SceneSpec(
     bend_degrees=0.0,
 )
 
+# 20 points from N(0, 0.1 m): nothing a coarse hypothesis could match to a street
+_NOISE_CLOUD = PointCloud(np.random.default_rng(0).normal(scale=0.1, size=(20, 3)))
+
 
 # what export_scene writes; jsonschema is a test dependency only
 SCENE_SCHEMA = {
@@ -387,6 +390,23 @@ class TestRunPipeline:
         assert result.status.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    def test_unmatched_combined_cloud_is_a_coarse_error(self, dataset, tmp_path):
+        # one scan of 20 points from N(0, 0.1 m): no RANSAC hypothesis can
+        # score against the street, which must not end ok with the identity
+        scan_dir = tmp_path / "scans"
+        scan_dir.mkdir()
+        write_ply(scan_dir / "scan_0000.ply", _NOISE_CLOUD)
+        run = PipelineRun(
+            config=PipelineConfig(),
+            reference_path=dataset["reference"],
+            scan_dir=scan_dir,
+            out_dir=tmp_path / "out",
+            seed=0,
+        )
+        result = run_pipeline(run)
+        assert (result.status, result.exit_code) == ("error:coarse", 1)
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_car_cluster_is_skipped(self, dataset, tmp_path):
         # every car point on one vertical line: the only cluster has no
         # planar spread, so it gets no box, and the run still succeeds
@@ -485,9 +505,8 @@ class TestRefineScans:
         ] * len(scans)
 
 
-@pytest.mark.slow
-def test_five_centimetre_noise_street_localizes(tmp_path):
-    paths = write_synthetic_dataset(tmp_path / "data", 4, SceneSpec(noise_sigma=0.05))
+def _localize_five_centimetre_noise_street(tmp_path, scene_seed):
+    paths = write_synthetic_dataset(tmp_path / "data", scene_seed, SceneSpec(noise_sigma=0.05))
     run = PipelineRun(
         config=PipelineConfig(),
         reference_path=paths["reference"],
@@ -499,6 +518,18 @@ def test_five_centimetre_noise_street_localizes(tmp_path):
     result = run_pipeline(run)
     assert result.status == "ok"
     assert result.errors.xy.max() < 0.05
+
+
+@pytest.mark.slow
+def test_five_centimetre_noise_street_localizes(tmp_path):
+    _localize_five_centimetre_noise_street(tmp_path, 4)
+
+
+@pytest.mark.slow
+def test_five_centimetre_noise_scene_seven_localizes(tmp_path):
+    # RANSAC once stopped on its first half-fit hypothesis here and the run
+    # ended 8.7 m off with status ok
+    _localize_five_centimetre_noise_street(tmp_path, 7)
 
 
 class TestConfigHash:
@@ -618,6 +649,18 @@ class TestCli:
                    "--combined", str(combined), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "input-error" not in capsys.readouterr().err
+
+    def test_unmatched_combined_cloud_is_a_stage_failure(self, dataset, tmp_path, capsys):
+        # 20 points from N(0, 0.1 m) once gave the identity with fitness 0
+        # after 100000 RANSAC iterations, and exit 0
+        combined = tmp_path / "combined.ply"
+        write_ply(combined, _NOISE_CLOUD)
+        out = tmp_path / "out"
+        rc = main(["coarse", "--reference", str(dataset["reference"]),
+                   "--combined", str(combined), "--out-dir", str(out)])
+        assert rc == 1
+        assert "input-error" not in capsys.readouterr().err
+        assert not (out / "coarse_transform.txt").exists()
 
     @pytest.mark.parametrize("text", ['[{"id": 0}]\n', "not json\n"])
     @pytest.mark.parametrize("command", ["parking", "export-scene"])

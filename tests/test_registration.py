@@ -1,14 +1,11 @@
 """Registration tests: closed-form pose, matching, RANSAC, point-to-plane ICP."""
 
-import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
-from voxloc.errors import DegenerateGeometryError, InsufficientOverlapError
+from voxloc.errors import DataError, DegenerateGeometryError, InsufficientOverlapError
 from voxloc.pipeline import coarse_features, two_level_grids
 from voxloc.registration import (
     estimate_rigid,
@@ -128,53 +125,6 @@ class TestEstimateRigid:
         same = np.tile([1.0, -2.0, 3.0], (6, 1))
         with pytest.raises(DegenerateGeometryError):
             estimate_rigid(same, same)
-
-    def test_collinear_weighted_input_raises(self, rng):
-        line = np.outer(rng.normal(size=8), [0.0, 1.0, 2.0])
-        with pytest.raises(DegenerateGeometryError):
-            estimate_rigid(line, line, rng.uniform(0.1, 2.0, 8))
-
-    def test_unit_weights_are_bitwise_unweighted(self, rng):
-        truth = _random_rigid(rng)
-        pts = rng.normal(size=(30, 3)) * 4.0
-        target = truth.apply(pts) + rng.normal(scale=0.01, size=(30, 3))
-        plain = estimate_rigid(pts, target)
-        unit = estimate_rigid(pts, target, np.ones(30))
-        np.testing.assert_array_equal(unit.rotation, plain.rotation)
-        np.testing.assert_array_equal(unit.translation, plain.translation)
-
-    def test_weights_pull_toward_heavy_pairs(self, rng):
-        # two consistent pair sets disagree by a shift; the heavy set wins
-        pts = rng.normal(size=(20, 3)) * 3.0
-        target = pts.copy()
-        target[10:] += [0.5, 0.0, 0.0]
-        weights = np.r_[np.full(10, 1e6), np.ones(10)]
-        t = estimate_rigid(pts, target, weights)
-        assert np.linalg.norm(t.translation) < 1e-3
-
-    def test_weight_count_mismatch_raises(self, rng):
-        pts = rng.normal(size=(5, 3))
-        with pytest.raises(ValueError):
-            estimate_rigid(pts, pts, np.ones(4))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rotvec=hnp.arrays(np.float64, 3, elements=st.floats(-3.0, 3.0)),
-        shift=hnp.arrays(np.float64, 3, elements=st.floats(-100.0, 100.0)),
-        seed=st.integers(0, 2**32 - 1),
-        count=st.integers(3, 40),
-    )
-    def test_weighted_recovery_of_random_motion(self, rotvec, shift, seed, count):
-        gen = np.random.default_rng(seed)
-        pts = gen.normal(size=(count, 3)) * gen.uniform(0.5, 20.0)
-        weights = gen.uniform(1e-3, 1e3, size=count)
-        centred = np.sqrt(weights)[:, None] * (pts - np.average(pts, axis=0, weights=weights))
-        spread = np.linalg.svd(centred, compute_uv=False)
-        assume(spread[1] > 1e-3 * spread[0])  # a well-conditioned, non-collinear set
-        truth = RigidTransform(rotation_exp(rotvec), shift)
-        t = estimate_rigid(pts, truth.apply(pts), weights)
-        np.testing.assert_allclose(t.rotation, truth.rotation, atol=1e-8)
-        np.testing.assert_allclose(t.translation, truth.translation, atol=1e-7)
 
     def test_too_few_points_raises(self):
         with pytest.raises(ValueError):
@@ -332,21 +282,41 @@ class TestRansacCoarse:
         assert rmse == res.inlier_rmse
 
     def test_unprunable_matches_give_failure_result(self, rng):
+        # every match is mutual, but the target is the source shrunk 100
+        # times, so no sample passes the 10% edge check: no hypothesis is
+        # scored, which is a DataError, not an identity with fitness 0
         config = PipelineConfig(ransac_max_iterations=500)
         points = rng.uniform(-5.0, 5.0, size=(40, 3))
+        desc = rng.random((40, 33))
+        with pytest.raises(DataError, match="500 iterations"):
+            ransac_coarse(PointCloud(points), PointCloud(points * 0.01), desc, desc, config, seed=0)
+
+    def test_fewer_than_three_mutual_matches_raise(self, rng, config):
+        # identical target rows: every source matches target 0 (ties go to
+        # the lowest index), whose nearest source is a single point
+        points = rng.uniform(-5.0, 5.0, size=(40, 3))
         source_desc = rng.random((40, 33))
-        # identical target rows: every source matches target 0 (ties go to the
-        # lowest index), so all target edges are zero and no sample can pass
-        # the 10% edge check
         target_desc = np.zeros((40, 33))
         matches, _ = match_fpfh(source_desc, target_desc)
         np.testing.assert_array_equal(matches, np.zeros(40))
         cloud = PointCloud(points)
-        res = ransac_coarse(cloud, cloud, source_desc, target_desc, config, seed=0)
-        assert res.fitness == 0.0
-        assert not res.converged
-        assert res.iterations == config.ransac_max_iterations
-        np.testing.assert_array_equal(res.transform.rotation, np.eye(3))
+        with pytest.raises(DataError, match="only 1 mutual"):
+            ransac_coarse(cloud, cloud, source_desc, target_desc, config, seed=0)
+
+    def test_samples_only_mutual_matches(self, rng):
+        # 20 true matches among 220: the 200 distractors all match target 0,
+        # whose nearest source is source 0, so the mutual filter drops them
+        # and the first sample is already right
+        config = PipelineConfig(ransac_max_iterations=50)
+        truth = RigidTransform(rotation_exp([0.0, 0.0, 0.4]), np.array([3.0, -1.0, 0.5]))
+        points = rng.uniform(-10.0, 10.0, size=(220, 3))
+        target_desc = rng.random((20, 33)) * 10.0
+        source_desc = np.vstack([target_desc, target_desc[0] + rng.random((200, 33))])
+        target = PointCloud(truth.apply(points[:20]))
+        res = ransac_coarse(PointCloud(points), target, source_desc, target_desc, config, seed=1)
+        assert res.converged
+        np.testing.assert_allclose(res.transform.rotation, truth.rotation, atol=1e-9)
+        np.testing.assert_allclose(res.transform.translation, truth.translation, atol=1e-9)
 
     def test_too_few_points_raises(self, rng, config):
         cloud = PointCloud(rng.normal(size=(2, 3)))
@@ -433,6 +403,50 @@ class TestIcpPointToPlane:
         index, normals = planar_cells(grid)
         np.testing.assert_array_equal(index.points, grid.means[grid.has_normal])
         np.testing.assert_array_equal(normals, grid.normals[grid.has_normal])
+
+    def test_zero_normal_cells_change_nothing(self, rng):
+        # an index over every cell, zero normals on the cells without one,
+        # converges to the transform of the planar cells alone, although its
+        # extra cells do take correspondences
+        room = _wall_room(rng)
+        lone = np.column_stack([np.arange(1.5, 7.0), np.full(6, 3.0), np.full(6, 1.5)])
+        grid = voxelize(PointCloud(np.vstack([room.points, lone])), 0.1)
+        grid.compute_normals()
+        source = PointCloud(np.vstack([room.points[::10], lone]))
+        init = RigidTransform(
+            rotation_exp([0.0, 0.0, np.radians(1.0)]), np.array([0.05, -0.04, 0.03])
+        )
+        config = PipelineConfig(icp_max_iterations=100, icp_convergence_eps=1e-12)
+        for kernel in (None, 0.1):
+            planar = icp_point_to_plane(source, *planar_cells(grid), init, config, kernel)
+            every = icp_point_to_plane(
+                source, SpatialIndex(grid.means), grid.normals, init, config, kernel
+            )
+            assert planar.converged and every.converged
+            assert every.fitness > planar.fitness
+            np.testing.assert_allclose(every.transform.rotation, planar.transform.rotation,
+                                       rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(every.transform.translation,
+                                       planar.transform.translation, rtol=0.0, atol=1e-9)
+
+    def test_kernel_weights_discount_an_outlier_plane(self, rng):
+        # a floor, plus a strip of source points 0.2 m above it that match
+        # the floor's cells: unweighted ICP lifts the cloud toward the strip,
+        # Geman-McClure weights with a small kernel hold it in place
+        xy = rng.uniform(0.0, 4.0, size=(6000, 2))
+        floor = np.column_stack([xy, np.full(len(xy), 0.05)])
+        strip = floor[:300] + [0.0, 0.0, 0.2]
+        grid = voxelize(PointCloud(floor), 0.5)
+        grid.compute_normals()
+        index, normals = planar_cells(grid)
+        source = PointCloud(np.vstack([floor, strip]))
+        config = PipelineConfig(icp_max_iterations=1)
+        plain = icp_point_to_plane(source, index, normals, RigidTransform.identity(), config)
+        robust = icp_point_to_plane(
+            source, index, normals, RigidTransform.identity(), config, kernel=0.01
+        )
+        assert abs(plain.transform.translation[2]) > 0.005
+        assert abs(robust.transform.translation[2]) < 0.1 * abs(plain.transform.translation[2])
 
     def test_result_fields_well_formed(self, rng, config):
         source, target = self._aligned_setup(rng)

@@ -57,6 +57,11 @@ def _key_set(grid):
     return set(map(tuple, grid.keys_array.tolist()))
 
 
+def _in_cells(pts, size, keys):
+    """Per point: whether its cell key is in the set keys."""
+    return np.array([tuple(k) in keys for k in np.floor(pts / size).astype(np.int64).tolist()])
+
+
 def _one_cell(pts, colors=None):
     """Voxelize points that all fall into one 100 m cell."""
     grid = voxelize(PointCloud(np.asarray(pts, dtype=float), colors), 100.0)
@@ -286,29 +291,45 @@ class TestDownsample:
 
 class TestInsertEvict:
     def test_insert_merges_with_voxelize_of_union(self, rng):
-        a = rng.uniform(0.0, 3.0, size=(400, 3))
-        b = rng.uniform(1.0, 4.0, size=(300, 3))
-        grid = voxelize(PointCloud(a), 0.5)
-        grid.insert(b)
-        union = voxelize(PointCloud(np.vstack([a, b])), 0.5)
-        assert int(grid.counts.sum()) == 700
-        assert len(grid) == len(union)
-        for row, key in enumerate(union.keys_array):
-            mine = _row(grid, key)
-            assert grid.counts[mine] == union.counts[row]
-            np.testing.assert_allclose(grid.means[mine], union.means[row], atol=1e-9)
+        # keys, counts, means and covariances of an incremental grid match a
+        # voxelize of the points it holds, also after an eviction and at a
+        # georeferenced offset; an evicted cell that is refilled starts anew
+        for offset in (np.zeros(3), np.array([5e5, 5e6, 300.0])):
+            a = rng.uniform(0.0, 3.0, size=(400, 3)) + offset
+            b = rng.uniform(1.0, 4.0, size=(300, 3)) + offset
+            c = rng.uniform(0.0, 4.0, size=(200, 3)) + offset
+            grid = voxelize(PointCloud(a), 0.5)
+            grid.insert(b)
+            grid.evict_outside(offset + 2.0, 1.5)
+            kept = _key_set(grid)
+            held = np.vstack([a, b])
+            held = held[_in_cells(held, 0.5, kept)]
+            assert not _in_cells(c, 0.5, kept).all()
+            grid.insert(c)
+            expected = voxelize(PointCloud(np.vstack([held, c])), 0.5)
+            np.testing.assert_array_equal(grid.keys_array, expected.keys_array)
+            np.testing.assert_array_equal(grid.counts, expected.counts)
+            np.testing.assert_allclose(grid.means, expected.means, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(
+                grid.covariances, expected.covariances, rtol=0.0, atol=1e-12
+            )
 
     def test_insert_clears_derived_fields(self, rng):
+        # covariances are kept (they merge like the counts), normals and
+        # colors are cleared for the whole grid
         pts = rng.uniform(0.0, 2.0, size=(500, 3))
         colors = rng.integers(0, 256, size=(500, 3), dtype=np.uint8)
         grid = voxelize(PointCloud(pts, colors), 0.5)
         grid.compute_normals()
         assert grid.has_normal.any()
-        grid.insert(pts[:10])
-        touched = [_row(grid, key) for key in voxelize(PointCloud(pts[:10]), 0.5).keys_array]
-        assert not grid.has_covariance[touched].any()
-        assert not grid.has_normal[touched].any()
-        assert grid.colors is None  # dropped for the whole grid
+        extra = rng.uniform(0.0, 2.0, size=(10, 3))
+        grid.insert(extra)
+        union = voxelize(PointCloud(np.vstack([pts, extra])), 0.5)
+        np.testing.assert_array_equal(grid.has_covariance, union.has_covariance)
+        np.testing.assert_allclose(grid.covariances, union.covariances, rtol=0.0, atol=1e-12)
+        assert not grid.has_normal.any()
+        assert not grid.normals.any()
+        assert grid.colors is None
 
     def test_insert_into_empty_grid(self, rng):
         grid = VoxelGrid(0.5)
