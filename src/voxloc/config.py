@@ -15,7 +15,6 @@ _POSITIVE_FLOATS = (
     "fpfh_radius",
     "ransac_distance_threshold",
     "icp_max_correspondence_distance",
-    "icp_convergence_eps",
     "cluster_distance",
 )
 _POSITIVE_INTS = (
@@ -36,7 +35,6 @@ class PipelineConfig:
     ransac_confidence: float = 0.999
     icp_max_correspondence_distance: float = 0.5
     icp_max_iterations: int = 50
-    icp_convergence_eps: float = 1e-6
     cluster_distance: float = 0.5
     cluster_min_points: int = 30
     occupancy_min_points: int = 10

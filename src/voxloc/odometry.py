@@ -4,18 +4,19 @@ Each scan registers with point-to-plane ICP against the local map: one voxel
 grid at REGISTRATION_SCALE * voxel_size_fine (0.5 m by default) that keeps
 every cell's second moments through insertion and eviction, so the map's
 normals are estimated afresh from all its points before each registration.
-The scan is downsampled on the map's own grid, so a repeated scan's
-registration points are exactly the map's cell means. As in KISS-ICP (Vizzo
-et al., RA-L 2023), residuals carry Geman-McClure weights with kernel scale
-k = threshold / 3, and a registration stops once its step norm falls below
-CONVERGENCE_EPS; the configured icp_convergence_eps is fine ICP's. A
-constant-velocity model predicts each pose; the adaptive correspondence
-threshold follows the running deviation between prediction and estimate.
+The first scan creates the map at the run's configured voxel size. The scan is
+downsampled on the map's own grid, so a repeated scan's registration points
+are exactly the map's cell means. As in KISS-ICP (Vizzo et al., RA-L 2023),
+residuals carry Geman-McClure weights with kernel scale k = threshold / 3,
+and a registration stops at registration.CONVERGENCE_EPS, the stopping rule
+of every ICP. A constant-velocity model predicts each pose; the adaptive
+correspondence threshold follows the running deviation between prediction
+and estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,18 +31,12 @@ from .voxel import VoxelGrid, downsample, voxelize
 DEFAULT_THRESHOLD = 1.0     # correspondence bound until the deviation model warms up
 REGISTRATION_SCALE = 5.0    # local map voxel size = scale * voxel_size_fine
 MAP_RANGE = 100.0           # cells farther than this from the pose are evicted
-# step norm that ends a registration, KISS-ICP's; at 1e-6 points near the
-# boundary between two cell means can switch back and forth and keep a
-# registration cycling, with steps of 3e-5 to 1.3e-4, to the iteration cap
-CONVERGENCE_EPS = 1e-4
 
 
 @dataclass
 class OdometryState:
     poses: list[RigidTransform] = field(default_factory=list)
-    local_map: VoxelGrid = field(
-        default_factory=lambda: VoxelGrid(REGISTRATION_SCALE * PipelineConfig.voxel_size_fine)
-    )
+    local_map: VoxelGrid | None = None  # built by the first register_scan
     deviation_count: int = 0
     deviation_sum_sq: float = 0.0
     rejected: list[int] = field(default_factory=list)
@@ -59,24 +54,22 @@ def predict_motion(state: OdometryState) -> RigidTransform:
     # across the recursive pose chain
     return RigidTransform(orthonormalize_rotation(predicted.rotation), predicted.translation)
 
-def adaptive_threshold(state: OdometryState, default: float = DEFAULT_THRESHOLD) -> float:
+def adaptive_threshold(state: OdometryState) -> float:
     """3-sigma bound from accumulated prediction deviations, clamped to
-    [0.1 * default, default]; the default until two scans have been seen."""
+    [0.1 * DEFAULT_THRESHOLD, DEFAULT_THRESHOLD]; DEFAULT_THRESHOLD until two
+    scans have been seen."""
     if state.deviation_count < 2:
-        return default
+        return DEFAULT_THRESHOLD
     sigma = np.sqrt(state.deviation_sum_sq / state.deviation_count)
-    return float(np.clip(3.0 * sigma, 0.1 * default, default))
+    return float(np.clip(3.0 * sigma, 0.1 * DEFAULT_THRESHOLD, DEFAULT_THRESHOLD))
 
 
 def register_scan(
-    state: OdometryState,
-    scan: PointCloud,
-    config: PipelineConfig,
-    *,
-    default_threshold: float = DEFAULT_THRESHOLD,
+    state: OdometryState, scan: PointCloud, config: PipelineConfig
 ) -> RigidTransform:
     """Register one scan against the local map and fold it in.
 
+    A state without a map gets one at REGISTRATION_SCALE * voxel_size_fine.
     The first scan fixes the odometry frame (identity pose). A scan with too
     little map overlap is rejected: its pose falls back to the prediction, its
     index is recorded in state.rejected, and the map is left untouched.
@@ -86,12 +79,14 @@ def register_scan(
 
     prediction = predict_motion(state)
     scan_index = len(state.poses)
+    if state.local_map is None:
+        state.local_map = VoxelGrid(REGISTRATION_SCALE * config.voxel_size_fine)
     grid = state.local_map
     accepted = True
     if len(grid) == 0:
         pose = RigidTransform.identity()
     else:
-        threshold = adaptive_threshold(state, default_threshold)
+        threshold = adaptive_threshold(state)
         sparse = downsample(voxelize(scan, grid.voxel_size))
         grid.compute_normals()
         try:
@@ -100,11 +95,8 @@ def register_scan(
                 SpatialIndex(grid.means),
                 grid.normals,
                 prediction,
-                replace(
-                    config,
-                    icp_max_correspondence_distance=threshold,
-                    icp_convergence_eps=CONVERGENCE_EPS,
-                ),
+                threshold,
+                config.icp_max_iterations,
                 kernel=threshold / 3.0,
             )
             pose = RigidTransform(
@@ -140,7 +132,7 @@ def combine_scans(
     if not scans:
         raise ValueError("no scans to combine")
     if state is None:
-        state = OdometryState(local_map=VoxelGrid(REGISTRATION_SCALE * config.voxel_size_fine))
+        state = OdometryState()
     for scan in scans:
         register_scan(state, scan, config)
     parts = [scan.transformed(pose) for scan, pose in zip(scans, state.poses)]

@@ -17,7 +17,7 @@ malformed or inconsistent is a PipelineInputError (exit 2, status
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -222,21 +222,22 @@ def refine_scans(
     First the combined cloud, rebuilt from the scans and their odometry poses
     and downsampled to REGISTRATION_SCALE * voxel_size_fine, is aligned once
     from the coarse transform (at most WHOLE_CLOUD_MAX_ITERATIONS). Then every
-    raw scan is refined from its odometry pose mapped through that alignment,
-    so the scans no longer each climb the coarse error on their own. Returns
-    the whole-cloud result and the per-scan results."""
+    raw scan is refined from its odometry pose mapped through that alignment
+    (at most icp_max_iterations each), so the scans no longer each climb the
+    coarse error on their own. Both steps take correspondences within
+    icp_max_correspondence_distance and stop at registration.CONVERGENCE_EPS.
+    Returns the whole-cloud result and the per-scan results."""
     index, normals = planar_cells(reference_fine)
     combined = concat_clouds([scan.transformed(pose) for scan, pose in zip(scans, odometry_poses)])
     sparse = downsample(voxelize(combined, REGISTRATION_SCALE * config.voxel_size_fine))
+    max_distance = config.icp_max_correspondence_distance
     whole = icp_point_to_plane(
-        sparse,
-        index,
-        normals,
-        coarse_transform,
-        replace(config, icp_max_iterations=WHOLE_CLOUD_MAX_ITERATIONS),
+        sparse, index, normals, coarse_transform, max_distance, WHOLE_CLOUD_MAX_ITERATIONS
     )
     per_scan = [
-        icp_point_to_plane(scan, index, normals, whole.transform @ pose, config)
+        icp_point_to_plane(
+            scan, index, normals, whole.transform @ pose, max_distance, config.icp_max_iterations
+        )
         for scan, pose in zip(scans, odometry_poses)
     ]
     return whole, per_scan
@@ -278,9 +279,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         reference_fine.compute_normals()
 
         stage = "odometry"
-        odometry_state = OdometryState(
-            local_map=VoxelGrid(REGISTRATION_SCALE * config.voxel_size_fine)
-        )
+        odometry_state = OdometryState()
         combined, odometry_poses = combine_scans(scans, config, state=odometry_state)
 
         stage = "coarse"

@@ -17,6 +17,10 @@ from .voxel import VoxelGrid
 EDGE_PRUNE_RATIO = 0.10   # pairwise source edge must match target edge to 10%
 MIN_CORRESPONDENCES = 6   # fewer matched points and ICP gives up
 SPECTRAL_CUTOFF = 1e-12   # relative eigenvalue cutoff for the 6x6 solve
+# step norm that ends every ICP, KISS-ICP's; at 1e-6, points near the boundary
+# between two cell means switched back and forth and kept the step cycling to
+# the iteration cap
+CONVERGENCE_EPS = 1e-4
 
 
 def planar_cells(grid: VoxelGrid) -> tuple[SpatialIndex, np.ndarray]:
@@ -210,7 +214,8 @@ def icp_point_to_plane(
     index: SpatialIndex,
     normals: np.ndarray,
     init: RigidTransform,
-    config: PipelineConfig,
+    max_distance: float,
+    max_iterations: int,
     kernel: float | None = None,
 ) -> RegistrationResult:
     """Refine an alignment of a cloud against cells with normals: an index
@@ -219,30 +224,31 @@ def icp_point_to_plane(
     normal equations.
 
     Correspondences run from transformed source points to the nearest cell
-    mean within icp_max_correspondence_distance; each iteration minimizes the
-    sum of squared point-to-plane residuals r through the small-angle
-    linearization about the centroid of its correspondences, so georeferenced
-    coordinates far from the origin neither lengthen the rotation's lever arm
-    nor tie rotation to translation, and composes the increment on the left.
-    With a kernel k, each residual is weighted by the Geman-McClure weight
-    k^2 / (k + r^2)^2, as in KISS-ICP (Vizzo et al., RA-L 2023).
+    mean within max_distance; each iteration minimizes the sum of squared
+    point-to-plane residuals r through the small-angle linearization about the
+    centroid of its correspondences, so georeferenced coordinates far from the
+    origin neither lengthen the rotation's lever arm nor tie rotation to
+    translation, and composes the increment on the left. With a kernel k, each
+    residual is weighted by the Geman-McClure weight k^2 / (k + r^2)^2, as in
+    KISS-ICP (Vizzo et al., RA-L 2023). The loop stops, converged, once the
+    norm of an increment falls below CONVERGENCE_EPS, and unconverged after
+    max_iterations.
     """
     if len(source) == 0:
         raise ValueError("source cloud is empty")
     means = index.points
 
-    max_dist = config.icp_max_correspondence_distance
     transform = init
     converged = False
     iterations = 0
-    for _ in range(config.icp_max_iterations):
+    for _ in range(max_iterations):
         iterations += 1
         moved = transform.apply(source.points)
-        idx, _ = index.nearest(moved, max_distance=max_dist)
+        idx, _ = index.nearest(moved, max_distance=max_distance)
         found = idx >= 0
         if int(found.sum()) < MIN_CORRESPONDENCES:
             raise InsufficientOverlapError(
-                f"only {int(found.sum())} correspondences within {max_dist} m"
+                f"only {int(found.sum())} correspondences within {max_distance} m"
             )
         p = moved[found]
         q = means[idx[found]]
@@ -259,12 +265,12 @@ def icp_point_to_plane(
         rotation = rotation_exp(x[:3])
         step = RigidTransform(rotation, c - rotation @ c + x[3:])
         transform = step @ transform
-        if float(np.linalg.norm(x)) < config.icp_convergence_eps:
+        if float(np.linalg.norm(x)) < CONVERGENCE_EPS:
             converged = True
             break
 
     moved = transform.apply(source.points)
-    idx, _ = index.nearest(moved, max_distance=max_dist)
+    idx, _ = index.nearest(moved, max_distance=max_distance)
     found = idx >= 0
     fitness = float(found.mean())
     if found.any():

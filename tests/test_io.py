@@ -337,8 +337,10 @@ def test_coarse_smaller_than_fine_rejected():
 
 
 def test_unknown_key_named_in_error():
-    with pytest.raises(ConfigError, match="ransac_distance_treshold"):
-        parse_config({"ransac_distance_treshold": 2.0})
+    # a misspelt key, and a key that earlier versions accepted
+    for key in ("ransac_distance_treshold", "icp_convergence_eps"):
+        with pytest.raises(ConfigError, match=key):
+            parse_config({key: 2.0})
 
 
 def test_config_file_loading(tmp_path):

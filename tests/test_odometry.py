@@ -8,6 +8,7 @@ from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
 from voxloc.errors import InsufficientOverlapError
 from voxloc.odometry import (
+    DEFAULT_THRESHOLD,
     OdometryState,
     adaptive_threshold,
     combine_scans,
@@ -16,7 +17,6 @@ from voxloc.odometry import (
 )
 from voxloc.synthetic import SceneSpec, generate_synthetic_scene
 from voxloc.transform import RigidTransform, rotation_exp, rotation_log
-from voxloc.voxel import VoxelGrid
 
 
 def _pose(axis_angle, translation):
@@ -85,24 +85,24 @@ class TestPredictMotion:
 
 class TestAdaptiveThreshold:
     def test_fresh_state_returns_default(self):
-        assert adaptive_threshold(OdometryState(), 1.0) == 1.0
+        assert adaptive_threshold(OdometryState()) == DEFAULT_THRESHOLD
 
     def test_single_observation_still_returns_default(self):
         state = OdometryState(deviation_count=1, deviation_sum_sq=25.0)
-        assert adaptive_threshold(state, 1.0) == 1.0
+        assert adaptive_threshold(state) == DEFAULT_THRESHOLD
 
     def test_uniform_deviations_give_three_sigma(self):
         # four deviations of exactly 0.1 m: sigma = 0.1, threshold = 0.3
         state = OdometryState(deviation_count=4, deviation_sum_sq=4 * 0.1**2)
-        assert adaptive_threshold(state, 1.0) == pytest.approx(0.3, abs=1e-15)
+        assert adaptive_threshold(state) == pytest.approx(0.3, abs=1e-15)
 
     def test_near_zero_deviations_clamp_to_lower_bound(self):
         state = OdometryState(deviation_count=10, deviation_sum_sq=1e-20)
-        assert adaptive_threshold(state, 1.0) == pytest.approx(0.1, abs=1e-15)
+        assert adaptive_threshold(state) == pytest.approx(0.1 * DEFAULT_THRESHOLD, abs=1e-15)
 
     def test_large_deviations_clamp_to_default(self):
         state = OdometryState(deviation_count=3, deviation_sum_sq=300.0)
-        assert adaptive_threshold(state, 1.0) == 1.0
+        assert adaptive_threshold(state) == DEFAULT_THRESHOLD
 
     def test_always_within_clamp_interval(self, rng):
         for _ in range(50):
@@ -110,15 +110,14 @@ class TestAdaptiveThreshold:
                 deviation_count=int(rng.integers(2, 40)),
                 deviation_sum_sq=float(rng.uniform(0.0, 100.0)),
             )
-            default = float(rng.uniform(0.2, 4.0))
-            value = adaptive_threshold(state, default)
-            assert 0.1 * default <= value <= default
+            value = adaptive_threshold(state)
+            assert 0.1 * DEFAULT_THRESHOLD <= value <= DEFAULT_THRESHOLD
 
 
 class TestRegisterScan:
     def test_first_scan_fixes_identity_and_fills_map(self, rng, config):
         scan = _room_cloud(rng, n_ground=4000, n_wall=1500)
-        state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        state = OdometryState()
         pose = register_scan(state, scan, config)
         assert np.array_equal(_matrix(pose), np.eye(4))
         assert len(state.local_map) > 0
@@ -145,7 +144,7 @@ class TestRegisterScan:
 
     def test_distant_scan_is_rejected_with_prediction_pose(self, rng, config):
         scan = _room_cloud(rng, n_ground=4000, n_wall=1500)
-        state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        state = OdometryState()
         register_scan(state, scan, config)
         cells_before = len(state.local_map)
         counts_before = state.local_map.counts.copy()
@@ -161,7 +160,7 @@ class TestRegisterScan:
 
     def test_rejected_scan_still_extends_the_trajectory(self, rng, config):
         scan = _room_cloud(rng, n_ground=4000, n_wall=1500)
-        state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        state = OdometryState()
         register_scan(state, scan, config)
         register_scan(state, PointCloud(scan.points + 80.0), config)
         assert len(state.poses) == 2
@@ -194,10 +193,22 @@ class TestCombineScans:
 
     def test_supplied_state_exposes_poses_and_map(self, street_scene, config):
         _, scans, _ = street_scene
-        state = OdometryState(local_map=VoxelGrid(config.voxel_size_fine))
+        state = OdometryState()
         _, trajectory = combine_scans(scans[:2], config, state=state)
         assert state.poses == trajectory.poses
         assert len(state.local_map) > 0
+
+    def test_supplied_state_gets_the_configured_map_size(self, street_scene):
+        # the map follows the run's voxel_size_fine whether or not the caller
+        # supplies the state
+        _, scans, _ = street_scene
+        config = PipelineConfig(voxel_size_fine=0.2)
+        state = OdometryState()
+        _, supplied = combine_scans(scans[:3], config, state=state)
+        _, default = combine_scans(scans[:3], config)
+        assert state.local_map.voxel_size == pytest.approx(1.0)
+        for a, b in zip(supplied.poses, default.poses):
+            assert np.array_equal(_matrix(a), _matrix(b))
 
     def test_corridor_tracks_ground_truth(self, config):
         # 20-scan street sequence with 1 cm sensor noise; estimated poses are

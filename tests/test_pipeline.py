@@ -117,6 +117,18 @@ def _load_scene(path):
         return json.load(handle)
 
 
+def _move_inputs(paths, offset, out_dir):
+    """Reference and ground truth of a dataset moved by offset, written to
+    out_dir; returns their paths. The scans stay in their sensor frames."""
+    reference = read_ply(paths["reference"])
+    moved = PointCloud(reference.points + offset, reference.colors, reference.labels)
+    write_ply(out_dir / "reference.ply", moved)
+    shift = RigidTransform(np.eye(3), offset)
+    truth = Trajectory([shift @ pose for pose in read_poses(paths["gt_poses"])])
+    write_poses(out_dir / "gt_poses.txt", truth)
+    return out_dir / "reference.ply", out_dir / "gt_poses.txt"
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("dataset")
@@ -298,19 +310,13 @@ class TestRunPipeline:
     def test_georeferenced_offset_keeps_the_accuracy(self, dataset, completed_run, tmp_path):
         # the same street and ground truth moved to UTM-scale coordinates
         # must localize as well as at the origin
-        offset = np.array([5e5, 5e6, 300.0])
-        reference = read_ply(dataset["reference"])
-        moved = PointCloud(reference.points + offset, reference.colors, reference.labels)
-        write_ply(tmp_path / "reference.ply", moved)
-        shift = RigidTransform(np.eye(3), offset)
-        truth = Trajectory([shift @ pose for pose in read_poses(dataset["gt_poses"])])
-        write_poses(tmp_path / "gt_poses.txt", truth)
+        reference, truth = _move_inputs(dataset, np.array([5e5, 5e6, 300.0]), tmp_path)
         run = PipelineRun(
             config=PipelineConfig(),
-            reference_path=tmp_path / "reference.ply",
+            reference_path=reference,
             scan_dir=dataset["scans"],
             out_dir=tmp_path / "out",
-            gt_poses_path=tmp_path / "gt_poses.txt",
+            gt_poses_path=truth,
             seed=0,
         )
         result = run_pipeline(run)
@@ -493,9 +499,9 @@ class TestRefineScans:
         icp = pipeline_module.icp_point_to_plane
         caps = []
 
-        def recording(source, index, normals, init, config):
-            caps.append(config.icp_max_iterations)
-            return icp(source, index, normals, init, config)
+        def recording(source, index, normals, init, max_distance, max_iterations):
+            caps.append(max_iterations)
+            return icp(source, index, normals, init, max_distance, max_iterations)
 
         monkeypatch.setattr(pipeline_module, "icp_point_to_plane", recording)
         scans, config = staged[0], staged[4]
@@ -530,6 +536,33 @@ def test_five_centimetre_noise_scene_seven_localizes(tmp_path):
     # RANSAC once stopped on its first half-fit hypothesis here and the run
     # ended 8.7 m off with status ok
     _localize_five_centimetre_noise_street(tmp_path, 7)
+
+
+@pytest.mark.slow
+def test_default_street_at_utm_offset_converges(tmp_path):
+    # at this offset the whole-cloud step and one scan's ICP once cycled
+    # between two correspondence sets up to their iteration caps; the small
+    # test street of test_georeferenced_offset_keeps_the_accuracy does not
+    paths = write_synthetic_dataset(tmp_path / "data", 7)
+    inputs = [
+        (paths["reference"], paths["gt_poses"]),
+        _move_inputs(paths, np.array([5e5, 5e6, 300.0]), tmp_path),
+    ]
+    errors = []
+    for reference, truth in inputs:
+        result = run_pipeline(PipelineRun(
+            config=PipelineConfig(),
+            reference_path=reference,
+            scan_dir=paths["scans"],
+            out_dir=tmp_path / f"out{len(errors)}",
+            gt_poses_path=truth,
+            seed=0,
+        ))
+        assert result.status == "ok"
+        assert result.whole_cloud.converged
+        assert all(fine.converged for fine in result.fine)
+        errors.append(result.errors.xy.mean())
+    assert abs(errors[1] - errors[0]) < 1e-5
 
 
 class TestConfigHash:

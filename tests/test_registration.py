@@ -19,6 +19,10 @@ from voxloc.spatial import SpatialIndex
 from voxloc.transform import RigidTransform, rotation_exp, rotation_log
 from voxloc.voxel import voxelize
 
+# the pipeline's default correspondence distance and per-scan iteration cap
+_ICP_DISTANCE = 0.5
+_ICP_ITERATIONS = 50
+
 
 def _random_rigid(rng, max_angle=np.pi, max_shift=10.0):
     axis = rng.normal(size=3)
@@ -333,9 +337,11 @@ class TestIcpPointToPlane:
         source = PointCloud(room.points[rng.choice(len(room), 4000, replace=False)])
         return source, planar_cells(grid)
 
-    def test_aligned_source_stays_put(self, rng, config):
+    def test_aligned_source_stays_put(self, rng):
         source, target = self._aligned_setup(rng)
-        res = icp_point_to_plane(source, *target, RigidTransform.identity(), config)
+        res = icp_point_to_plane(
+            source, *target, RigidTransform.identity(), _ICP_DISTANCE, _ICP_ITERATIONS
+        )
         assert res.converged
         assert res.iterations <= 2
         assert res.inlier_rmse < 1e-9
@@ -348,45 +354,49 @@ class TestIcpPointToPlane:
         grid = voxelize(plane, 0.1)
         grid.compute_normals()
         shifted = PointCloud(plane.points + [0.0, 0.0, 0.05])
-        config = PipelineConfig(icp_max_iterations=1)
-        res = icp_point_to_plane(shifted, *planar_cells(grid), RigidTransform.identity(), config)
+        res = icp_point_to_plane(
+            shifted, *planar_cells(grid), RigidTransform.identity(), _ICP_DISTANCE, 1
+        )
         assert res.iterations == 1
         np.testing.assert_allclose(res.transform.translation, [0.0, 0.0, -0.05], atol=1e-9)
         np.testing.assert_allclose(res.transform.rotation, np.eye(3), atol=1e-9)
 
-    def test_perturbed_init_converges_home(self, rng, config):
+    def test_perturbed_init_converges_home(self, rng):
         source, target = self._aligned_setup(rng)
         init = RigidTransform(
             rotation_exp([0.0, 0.0, np.radians(2.0)]), np.array([0.15, -0.1, 0.05])
         )
-        res = icp_point_to_plane(source, *target, init, config)
+        res = icp_point_to_plane(source, *target, init, _ICP_DISTANCE, _ICP_ITERATIONS)
         assert res.converged
         assert np.linalg.norm(res.transform.translation) < 5e-3
         assert np.degrees(np.linalg.norm(rotation_log(res.transform.rotation))) < 0.5
 
-    def test_rmse_non_increasing_over_iterations(self, rng):
+    def test_rmse_non_increasing_over_iterations(self, rng, monkeypatch):
+        monkeypatch.setattr("voxloc.registration.CONVERGENCE_EPS", 1e-14)
         source, target = self._aligned_setup(rng)
         init = RigidTransform(
             rotation_exp([0.0, 0.0, np.radians(1.5)]), np.array([0.1, -0.08, 0.04])
         )
         series = []
         for cap in range(1, 7):
-            config = PipelineConfig(icp_max_iterations=cap, icp_convergence_eps=1e-14)
-            series.append(icp_point_to_plane(source, *target, init, config).inlier_rmse)
+            result = icp_point_to_plane(source, *target, init, _ICP_DISTANCE, cap)
+            series.append(result.inlier_rmse)
         for earlier, later in zip(series, series[1:]):
             assert later <= earlier + 1e-12
 
-    def test_no_overlap_raises(self, rng, config):
+    def test_no_overlap_raises(self, rng):
         source, target = self._aligned_setup(rng)
         far = RigidTransform(np.eye(3), np.array([200.0, 0.0, 0.0]))
         with pytest.raises(InsufficientOverlapError):
-            icp_point_to_plane(source, *target, far, config)
+            icp_point_to_plane(source, *target, far, _ICP_DISTANCE, _ICP_ITERATIONS)
 
-    def test_empty_source_raises(self, rng, config):
+    def test_empty_source_raises(self, rng):
         _, target = self._aligned_setup(rng)
         empty = PointCloud(np.empty((0, 3)))
         with pytest.raises(ValueError):
-            icp_point_to_plane(empty, *target, RigidTransform.identity(), config)
+            icp_point_to_plane(
+                empty, *target, RigidTransform.identity(), _ICP_DISTANCE, _ICP_ITERATIONS
+            )
 
     def test_grid_without_normals_raises(self, rng):
         cloud = PointCloud(rng.normal(size=(100, 3)))
@@ -404,7 +414,7 @@ class TestIcpPointToPlane:
         np.testing.assert_array_equal(index.points, grid.means[grid.has_normal])
         np.testing.assert_array_equal(normals, grid.normals[grid.has_normal])
 
-    def test_zero_normal_cells_change_nothing(self, rng):
+    def test_zero_normal_cells_change_nothing(self, rng, monkeypatch):
         # an index over every cell, zero normals on the cells without one,
         # converges to the transform of the planar cells alone, although its
         # extra cells do take correspondences
@@ -416,11 +426,13 @@ class TestIcpPointToPlane:
         init = RigidTransform(
             rotation_exp([0.0, 0.0, np.radians(1.0)]), np.array([0.05, -0.04, 0.03])
         )
-        config = PipelineConfig(icp_max_iterations=100, icp_convergence_eps=1e-12)
+        monkeypatch.setattr("voxloc.registration.CONVERGENCE_EPS", 1e-12)
         for kernel in (None, 0.1):
-            planar = icp_point_to_plane(source, *planar_cells(grid), init, config, kernel)
+            planar = icp_point_to_plane(
+                source, *planar_cells(grid), init, _ICP_DISTANCE, 100, kernel
+            )
             every = icp_point_to_plane(
-                source, SpatialIndex(grid.means), grid.normals, init, config, kernel
+                source, SpatialIndex(grid.means), grid.normals, init, _ICP_DISTANCE, 100, kernel
             )
             assert planar.converged and every.converged
             assert every.fitness > planar.fitness
@@ -440,17 +452,19 @@ class TestIcpPointToPlane:
         grid.compute_normals()
         index, normals = planar_cells(grid)
         source = PointCloud(np.vstack([floor, strip]))
-        config = PipelineConfig(icp_max_iterations=1)
-        plain = icp_point_to_plane(source, index, normals, RigidTransform.identity(), config)
+        identity = RigidTransform.identity()
+        plain = icp_point_to_plane(source, index, normals, identity, _ICP_DISTANCE, 1)
         robust = icp_point_to_plane(
-            source, index, normals, RigidTransform.identity(), config, kernel=0.01
+            source, index, normals, identity, _ICP_DISTANCE, 1, kernel=0.01
         )
         assert abs(plain.transform.translation[2]) > 0.005
         assert abs(robust.transform.translation[2]) < 0.1 * abs(plain.transform.translation[2])
 
-    def test_result_fields_well_formed(self, rng, config):
+    def test_result_fields_well_formed(self, rng):
         source, target = self._aligned_setup(rng)
-        res = icp_point_to_plane(source, *target, RigidTransform.identity(), config)
+        res = icp_point_to_plane(
+            source, *target, RigidTransform.identity(), _ICP_DISTANCE, _ICP_ITERATIONS
+        )
         assert 0.0 <= res.fitness <= 1.0
         assert res.inlier_rmse >= 0.0
         assert res.iterations >= 1
