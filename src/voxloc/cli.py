@@ -118,7 +118,6 @@ def _cmd_fine(args) -> int:
     if len(coarse_list) != 1:
         raise PipelineInputError("coarse transform file must hold exactly one pose")
     fine_grid, _ = two_level_grids(reference, config)
-    fine_grid.compute_normals()
     whole, results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
     out = _out_dir(args) / "refined_poses.txt"
     write_poses(out, Trajectory([result.transform for result in results]))

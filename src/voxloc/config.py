@@ -12,14 +12,11 @@ from .errors import ConfigError
 _POSITIVE_FLOATS = (
     "voxel_size_fine",
     "voxel_size_coarse",
-    "fpfh_radius",
     "ransac_distance_threshold",
     "icp_max_correspondence_distance",
     "cluster_distance",
 )
 _POSITIVE_INTS = (
-    "ransac_max_iterations",
-    "icp_max_iterations",
     "cluster_min_points",
     "occupancy_min_points",
 )
@@ -29,25 +26,15 @@ _POSITIVE_INTS = (
 class PipelineConfig:
     voxel_size_fine: float = 0.10
     voxel_size_coarse: float = 1.0
-    fpfh_radius: float | None = None  # resolved to 5 * voxel_size_coarse
     ransac_distance_threshold: float = 2.0
-    ransac_max_iterations: int = 100_000
-    ransac_confidence: float = 0.999
     icp_max_correspondence_distance: float = 0.5
-    icp_max_iterations: int = 50
     cluster_distance: float = 0.5
     cluster_min_points: int = 30
     occupancy_min_points: int = 10
     car_label: int = 1
 
-    def __post_init__(self):
-        if self.fpfh_radius is None:
-            if not isinstance(self.voxel_size_coarse, (int, float)):
-                raise ConfigError("voxel_size_coarse must be a number")
-            self.fpfh_radius = 5.0 * self.voxel_size_coarse
-        self.validate()
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Check every field; a ConfigError names the first bad one."""
         for name in _POSITIVE_FLOATS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -63,12 +50,6 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be at least 1, got {value!r}")
         if isinstance(self.car_label, bool) or not isinstance(self.car_label, int):
             raise ConfigError("car_label must be an integer")
-        conf = self.ransac_confidence
-        if isinstance(conf, bool) or not isinstance(conf, (int, float)):
-            raise ConfigError("ransac_confidence must be a number")
-        if not 0.0 < conf < 1.0:
-            raise ConfigError(f"ransac_confidence must lie in (0, 1), got {conf!r}")
-        self.ransac_confidence = float(conf)
         if self.voxel_size_coarse < self.voxel_size_fine:
             raise ConfigError(
                 "voxel_size_coarse must be at least voxel_size_fine "
@@ -97,6 +78,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def config_hash(config: PipelineConfig) -> str:
-    """Stable hash of the resolved configuration."""
+    """Stable hash of the configuration."""
     payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

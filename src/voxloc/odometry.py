@@ -23,7 +23,7 @@ import numpy as np
 from .cloud import PointCloud, concat_clouds
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError, InsufficientOverlapError
-from .registration import icp_point_to_plane
+from .registration import ICP_MAX_ITERATIONS, icp_point_to_plane
 from .spatial import SpatialIndex
 from .transform import RigidTransform, Trajectory, orthonormalize_rotation
 from .voxel import VoxelGrid, downsample, voxelize
@@ -96,7 +96,7 @@ def register_scan(
                 grid.normals,
                 prediction,
                 threshold,
-                config.icp_max_iterations,
+                ICP_MAX_ITERATIONS,
                 kernel=threshold / 3.0,
             )
             pose = RigidTransform(

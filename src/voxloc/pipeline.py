@@ -38,7 +38,13 @@ from .fpfh import compute_fpfh
 from .io import read_ply, read_poses, write_ply, write_poses
 from .odometry import REGISTRATION_SCALE, OdometryState, combine_scans
 from .parking import ParkingSpace, save_spaces, spaces_from_reference
-from .registration import RegistrationResult, icp_point_to_plane, planar_cells, ransac_coarse
+from .registration import (
+    ICP_MAX_ITERATIONS,
+    RegistrationResult,
+    icp_point_to_plane,
+    planar_cells,
+    ransac_coarse,
+)
 from .spatial import SpatialIndex
 from .synthetic import SceneSpec, generate_synthetic_scene
 from .transform import RigidTransform, Trajectory
@@ -50,7 +56,8 @@ EXIT_INPUT_ERROR = 2
 
 _DEFAULT_VOXEL_COLOR = (128, 128, 128)
 _PLANARITY_RATIO = 0.03  # max smallest/largest eigenvalue for a feature cell
-_ANCHOR_SCALE = 4.0      # normal-orientation anchor radius over fpfh_radius
+FPFH_SCALE = 5.0         # FPFH descriptor radius over voxel_size_coarse
+_ANCHOR_SCALE = 4.0      # normal-orientation anchor radius over the FPFH radius
 _ANCHOR_RADIUS_CAP = 20.0  # beyond this the anchor centroid barely moves
 # whole-cloud ICP iteration cap, above the per-scan one because it starts
 # from the metre-level RANSAC error
@@ -124,16 +131,11 @@ def export_scene(grid: VoxelGrid, spaces: list[ParkingSpace], path: str | Path) 
     keys = grid.keys_array
     centers = keys * size + size / 2.0
     colors = grid.colors
-    voxels = []
-    for row in range(len(grid)):
-        color = _DEFAULT_VOXEL_COLOR if colors is None else tuple(int(c) for c in colors[row])
-        voxels.append(
-            {
-                "key": [int(k) for k in keys[row]],
-                "center": [float(c) for c in centers[row]],
-                "color": list(color),
-            }
-        )
+    rows = [_DEFAULT_VOXEL_COLOR] * len(grid) if colors is None else colors.tolist()
+    voxels = [
+        {"key": key, "center": center, "color": color}
+        for key, center, color in zip(keys.tolist(), centers.tolist(), rows)
+    ]
     boxes = []
     for space in spaces:
         boxes.append(
@@ -169,7 +171,8 @@ def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointClo
     """
     means = coarse.means
     index = SpatialIndex(means)
-    anchor_radius = min(_ANCHOR_SCALE * config.fpfh_radius, _ANCHOR_RADIUS_CAP)
+    radius = FPFH_SCALE * config.voxel_size_coarse
+    anchor_radius = min(_ANCHOR_SCALE * radius, _ANCHOR_RADIUS_CAP)
     pairs, _ = index.pairs_within(anchor_radius)
     # each cell's own mean, then its pair partners; bincount adds in this order
     cells = np.arange(len(means))
@@ -194,7 +197,7 @@ def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointClo
         raise DataError("coarse grid has fewer than 3 cells with stable normals")
     points = coarse.means[mask]
     normals = coarse.normals[mask]
-    descriptors = compute_fpfh(points, normals, config.fpfh_radius)
+    descriptors = compute_fpfh(points, normals, radius)
     return PointCloud(points), descriptors
 
 
@@ -206,7 +209,10 @@ def coarse_align(
     target_cloud, target_desc = coarse_features(reference_coarse, config)
     _, combined_coarse = two_level_grids(combined, config)
     source_cloud, source_desc = coarse_features(combined_coarse, config)
-    return ransac_coarse(source_cloud, target_cloud, source_desc, target_desc, config, seed)
+    return ransac_coarse(
+        source_cloud, target_cloud, source_desc, target_desc,
+        config.ransac_distance_threshold, seed,
+    )
 
 
 def refine_scans(
@@ -217,16 +223,17 @@ def refine_scans(
     config: PipelineConfig,
 ) -> tuple[RegistrationResult, list[RegistrationResult]]:
     """Fine stage: point-to-plane ICP against the planar cells of the
-    reference fine grid (normals already computed), in two steps.
+    reference fine grid, whose normals planar_cells estimates, in two steps.
 
     First the combined cloud, rebuilt from the scans and their odometry poses
     and downsampled to REGISTRATION_SCALE * voxel_size_fine, is aligned once
     from the coarse transform (at most WHOLE_CLOUD_MAX_ITERATIONS). Then every
     raw scan is refined from its odometry pose mapped through that alignment
-    (at most icp_max_iterations each), so the scans no longer each climb the
-    coarse error on their own. Both steps take correspondences within
-    icp_max_correspondence_distance and stop at registration.CONVERGENCE_EPS.
-    Returns the whole-cloud result and the per-scan results."""
+    (at most registration.ICP_MAX_ITERATIONS each), so the scans no longer
+    each climb the coarse error on their own. Both steps take correspondences
+    within icp_max_correspondence_distance and stop at
+    registration.CONVERGENCE_EPS. Returns the whole-cloud result and the
+    per-scan results."""
     index, normals = planar_cells(reference_fine)
     combined = concat_clouds([scan.transformed(pose) for scan, pose in zip(scans, odometry_poses)])
     sparse = downsample(voxelize(combined, REGISTRATION_SCALE * config.voxel_size_fine))
@@ -236,7 +243,7 @@ def refine_scans(
     )
     per_scan = [
         icp_point_to_plane(
-            scan, index, normals, whole.transform @ pose, max_distance, config.icp_max_iterations
+            scan, index, normals, whole.transform @ pose, max_distance, ICP_MAX_ITERATIONS
         )
         for scan, pose in zip(scans, odometry_poses)
     ]
@@ -276,7 +283,6 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     stage = "voxelize"
     try:
         reference_fine, reference_coarse = two_level_grids(reference, config)
-        reference_fine.compute_normals()
 
         stage = "odometry"
         odometry_state = OdometryState()

@@ -1,5 +1,10 @@
 """Rigid registration: closed-form estimation, RANSAC over feature matches,
-and point-to-plane ICP against a voxel grid."""
+and point-to-plane ICP against a voxel grid.
+
+The functions take their distances and iteration caps as arguments; the
+settings every run shares (RANSAC's iteration cap and confidence, the ICP
+stopping rule and per-scan iteration cap) are the constants below, not
+configuration."""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .config import PipelineConfig
 from .errors import DataError, DegenerateGeometryError, InsufficientOverlapError
 from .spatial import SpatialIndex
 from .transform import RigidTransform, rotation_exp
@@ -21,11 +25,16 @@ SPECTRAL_CUTOFF = 1e-12   # relative eigenvalue cutoff for the 6x6 solve
 # between two cell means switched back and forth and kept the step cycling to
 # the iteration cap
 CONVERGENCE_EPS = 1e-4
+ICP_MAX_ITERATIONS = 50        # per-scan and odometry ICP iteration cap
+RANSAC_MAX_ITERATIONS = 100_000
+RANSAC_CONFIDENCE = 0.999      # stop once 1 - (1 - w^3)^k reaches this
 
 
 def planar_cells(grid: VoxelGrid) -> tuple[SpatialIndex, np.ndarray]:
-    """Index over the means of the cells that have a normal, and their normals:
-    the target of icp_point_to_plane. Build it once per reference grid."""
+    """Estimate the grid's normals, then return an index over the means of the
+    cells that have one, and those normals: the target of icp_point_to_plane.
+    Build it once per reference grid."""
+    grid.compute_normals()
     mask = grid.has_normal
     if not mask.any():
         raise ValueError("target grid has no cells with normals")
@@ -113,7 +122,7 @@ def ransac_coarse(
     target: PointCloud,
     source_desc: np.ndarray,
     target_desc: np.ndarray,
-    config: PipelineConfig,
+    threshold: float,
     seed: int,
 ) -> RegistrationResult:
     """Feature-based coarse alignment over mutual descriptor matches.
@@ -122,11 +131,11 @@ def ransac_coarse(
     matched target is its own. Each iteration samples 3 kept matches, prunes
     samples whose pairwise edges disagree with the matched target edges by
     more than 10%, and estimates the rigid motion. Hypotheses rank by their
-    inlier share w: the share of kept matches mapped within
-    ransac_distance_threshold of their targets. Only a hypothesis that raises
-    w is scored against the full source cloud, for the fitness and RMSE the
-    result reports. The search stops once 1 - (1 - w^3)^k reaches
-    ransac_confidence after k iterations.
+    inlier share w: the share of kept matches mapped within threshold of their
+    targets. Only a hypothesis that raises w is scored against the full source
+    cloud, for the fitness and RMSE the result reports. The search stops once
+    1 - (1 - w^3)^k reaches RANSAC_CONFIDENCE after k iterations, and
+    unconverged after RANSAC_MAX_ITERATIONS.
 
     Raises DataError when fewer than 3 mutual matches remain or no hypothesis
     maps a kept match within the threshold.
@@ -145,14 +154,13 @@ def ransac_coarse(
     src = source.points[kept]
     tgt = target.points[matches[kept]]
     target_index = SpatialIndex(target.points)
-    threshold = config.ransac_distance_threshold
     rng = np.random.default_rng(seed)
 
     best: RegistrationResult | None = None
     best_inliers = 0
     iteration = 0
     converged = False
-    while iteration < config.ransac_max_iterations:
+    while iteration < RANSAC_MAX_ITERATIONS:
         iteration += 1
         sample = rng.choice(len(src), size=3, replace=False)
         s3 = src[sample]
@@ -181,7 +189,7 @@ def ransac_coarse(
 
         if best is not None:
             confidence = 1.0 - (1.0 - (best_inliers / len(src)) ** 3) ** iteration
-            if confidence >= config.ransac_confidence:
+            if confidence >= RANSAC_CONFIDENCE:
                 converged = True
                 break
 
@@ -240,20 +248,20 @@ def icp_point_to_plane(
 
     transform = init
     converged = False
-    iterations = 0
-    for _ in range(max_iterations):
-        iterations += 1
+    # correspondences of the current transform; the last pass only scores it
+    for iterations in range(max_iterations + 1):
         moved = transform.apply(source.points)
         idx, _ = index.nearest(moved, max_distance=max_distance)
         found = idx >= 0
-        if int(found.sum()) < MIN_CORRESPONDENCES:
-            raise InsufficientOverlapError(
-                f"only {int(found.sum())} correspondences within {max_distance} m"
-            )
         p = moved[found]
-        q = means[idx[found]]
         nrm = normals[idx[found]]
-        residual = ((p - q) * nrm).sum(axis=1)
+        residual = ((p - means[idx[found]]) * nrm).sum(axis=1)
+        if converged or iterations == max_iterations:
+            break
+        if len(p) < MIN_CORRESPONDENCES:
+            raise InsufficientOverlapError(
+                f"only {len(p)} correspondences within {max_distance} m"
+            )
         c = p.mean(axis=0)
         jac = np.hstack([np.cross(p - c, nrm), nrm])
         weighted = jac
@@ -265,17 +273,8 @@ def icp_point_to_plane(
         rotation = rotation_exp(x[:3])
         step = RigidTransform(rotation, c - rotation @ c + x[3:])
         transform = step @ transform
-        if float(np.linalg.norm(x)) < CONVERGENCE_EPS:
-            converged = True
-            break
+        converged = float(np.linalg.norm(x)) < CONVERGENCE_EPS
 
-    moved = transform.apply(source.points)
-    idx, _ = index.nearest(moved, max_distance=max_distance)
-    found = idx >= 0
     fitness = float(found.mean())
-    if found.any():
-        residual = ((moved[found] - means[idx[found]]) * normals[idx[found]]).sum(axis=1)
-        rmse = float(np.sqrt(np.mean(residual**2)))
-    else:
-        rmse = 0.0
+    rmse = float(np.sqrt(np.mean(residual**2))) if found.any() else 0.0
     return RegistrationResult(transform, fitness, rmse, iterations, converged)

@@ -25,27 +25,6 @@ def rotation_exp(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) + (np.sin(theta) / theta) * k + ((1.0 - np.cos(theta)) / theta**2) * (k @ k)
 
 
-def rotation_log(rotation: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix (inverse of rotation_exp)."""
-    r = np.asarray(rotation, dtype=float)
-    cos_theta = float(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
-    theta = float(np.arccos(cos_theta))
-    axis_raw = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if theta < 1e-8:
-        return 0.5 * axis_raw
-    if np.pi - theta < 1e-6:
-        # near pi the off-diagonal difference vanishes; recover the axis from
-        # the dominant diagonal entry of R + I
-        m = r + np.eye(3)
-        i = int(np.argmax(np.diag(m)))
-        axis = m[:, i] / np.linalg.norm(m[:, i])
-        # sign is ambiguous at exactly pi; pick the one matching axis_raw
-        if np.dot(axis, axis_raw) < 0:
-            axis = -axis
-        return theta * axis
-    return (theta / (2.0 * np.sin(theta))) * axis_raw
-
-
 def orthonormalize_rotation(rotation: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix (Frobenius) with determinant +1."""
     u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=float))
@@ -92,15 +71,12 @@ class RigidTransform:
     def matrix3x4(self) -> np.ndarray:
         return np.hstack([self.rotation, self.translation[:, None]])
 
-    def compose(self, other: RigidTransform) -> RigidTransform:
+    def __matmul__(self, other: RigidTransform) -> RigidTransform:
         """Transform applying ``other`` first, then ``self``."""
         return RigidTransform(
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def __matmul__(self, other: RigidTransform) -> RigidTransform:
-        return self.compose(other)
 
     def inverse(self) -> RigidTransform:
         rt = self.rotation.T

@@ -324,7 +324,6 @@ def test_empty_config_gives_defaults():
     assert cfg.ransac_distance_threshold == 2.0
     assert cfg.voxel_size_fine == 0.10
     assert cfg.voxel_size_coarse == 1.0
-    assert cfg.fpfh_radius == 5.0
 
 
 def test_explicit_fine_size_accepted():
@@ -337,8 +336,15 @@ def test_coarse_smaller_than_fine_rejected():
 
 
 def test_unknown_key_named_in_error():
-    # a misspelt key, and a key that earlier versions accepted
-    for key in ("ransac_distance_treshold", "icp_convergence_eps"):
+    # a misspelt key, and keys that earlier versions accepted
+    for key in (
+        "ransac_distance_treshold",
+        "icp_convergence_eps",
+        "fpfh_radius",
+        "ransac_max_iterations",
+        "ransac_confidence",
+        "icp_max_iterations",
+    ):
         with pytest.raises(ConfigError, match=key):
             parse_config({key: 2.0})
 
@@ -348,9 +354,9 @@ def test_config_file_loading(tmp_path):
     path.write_text('{"cluster_min_points": 12}')
     cfg = load_config(path)
     assert cfg.cluster_min_points == 12
-    assert cfg.icp_max_iterations == PipelineConfig().icp_max_iterations
+    assert cfg.cluster_distance == PipelineConfig().cluster_distance
 
 
 def test_invalid_value_names_field():
-    with pytest.raises(ConfigError, match="ransac_confidence"):
-        parse_config({"ransac_confidence": 1.5})
+    with pytest.raises(ConfigError, match="cluster_distance must be strictly positive"):
+        parse_config({"cluster_distance": -1.5})

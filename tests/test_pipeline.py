@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 import voxloc
 from voxloc import pipeline as pipeline_module
@@ -31,7 +32,8 @@ from voxloc.pipeline import (
     write_synthetic_dataset,
 )
 from voxloc.synthetic import SceneSpec, generate_synthetic_scene
-from voxloc.transform import RigidTransform, Trajectory, rotation_exp, rotation_log
+from voxloc.registration import ICP_MAX_ITERATIONS
+from voxloc.transform import RigidTransform, Trajectory, rotation_exp
 from voxloc.voxel import VoxelGrid, downsample, voxelize
 
 _SMALL_SPEC = SceneSpec(
@@ -305,7 +307,7 @@ class TestRunPipeline:
         assert result.status == "ok"
         pose = result.refined_poses[0]
         assert np.linalg.norm(pose.translation) < 1e-3
-        assert np.linalg.norm(rotation_log(pose.rotation)) < 1e-3
+        assert Rotation.from_matrix(pose.rotation).magnitude() < 1e-3
 
     def test_georeferenced_offset_keeps_the_accuracy(self, dataset, completed_run, tmp_path):
         # the same street and ground truth moved to UTM-scale coordinates
@@ -468,7 +470,6 @@ class TestRefineScans:
         reference, scans, truth = small_scene
         config = PipelineConfig()
         fine, _ = two_level_grids(reference, config)
-        fine.compute_normals()
         _, odometry_poses = combine_scans(scans, config)
         # odometry's frame is the first scan's, so the first true pose is the
         # coarse transform RANSAC aims for
@@ -504,10 +505,10 @@ class TestRefineScans:
             return icp(source, index, normals, init, max_distance, max_iterations)
 
         monkeypatch.setattr(pipeline_module, "icp_point_to_plane", recording)
-        scans, config = staged[0], staged[4]
+        scans = staged[0]
         self._refine(staged, staged[2][0])
         assert caps == [pipeline_module.WHOLE_CLOUD_MAX_ITERATIONS] + [
-            config.icp_max_iterations
+            ICP_MAX_ITERATIONS
         ] * len(scans)
 
 
@@ -571,7 +572,7 @@ class TestConfigHash:
 
     def test_changes_with_any_field(self):
         assert config_hash(PipelineConfig()) != config_hash(
-            PipelineConfig(icp_max_iterations=51))
+            PipelineConfig(icp_max_correspondence_distance=0.6))
 
 
 class TestCli:

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from voxloc.cloud import PointCloud
-from voxloc.config import PipelineConfig
 from voxloc.errors import DataError, DegenerateGeometryError, InsufficientOverlapError
 from voxloc.pipeline import coarse_features, two_level_grids
 from voxloc.registration import (
@@ -16,7 +16,7 @@ from voxloc.registration import (
     ransac_coarse,
 )
 from voxloc.spatial import SpatialIndex
-from voxloc.transform import RigidTransform, rotation_exp, rotation_log
+from voxloc.transform import RigidTransform, rotation_exp
 from voxloc.voxel import voxelize
 
 # the pipeline's default correspondence distance and per-scan iteration cap
@@ -241,7 +241,7 @@ class TestRansacCoarse:
         points = rng.uniform(-10.0, 10.0, size=(120, 3))
         desc = rng.random((120, 33)) * 10.0
         cloud = PointCloud(points)
-        res = ransac_coarse(cloud, cloud, desc, desc, config, seed=0)
+        res = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=0)
         assert res.fitness == pytest.approx(1.0)
         assert res.converged
         np.testing.assert_allclose(res.transform.rotation, np.eye(3), atol=1e-6)
@@ -256,10 +256,11 @@ class TestRansacCoarse:
         moved = reference.transformed(truth)
         target_cloud, target_desc = _features(moved, config)
         source_cloud, source_desc = _features(reference, config)
-        res = ransac_coarse(source_cloud, target_cloud, source_desc, target_desc, config, seed=2)
-        angle_err = np.linalg.norm(
-            rotation_log(res.transform.rotation @ truth.rotation.T)
+        res = ransac_coarse(
+            source_cloud, target_cloud, source_desc, target_desc,
+            config.ransac_distance_threshold, seed=2,
         )
+        angle_err = Rotation.from_matrix(res.transform.rotation @ truth.rotation.T).magnitude()
         assert np.degrees(angle_err) < 5.0
         assert np.linalg.norm(res.transform.translation - truth.translation) < 0.5
         assert res.fitness > 0.5
@@ -268,8 +269,8 @@ class TestRansacCoarse:
         points = rng.uniform(-5.0, 5.0, size=(60, 3))
         desc = rng.random((60, 33))
         cloud = PointCloud(points)
-        a = ransac_coarse(cloud, cloud, desc, desc, config, seed=7)
-        b = ransac_coarse(cloud, cloud, desc, desc, config, seed=7)
+        a = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=7)
+        b = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=7)
         np.testing.assert_array_equal(a.transform.rotation, b.transform.rotation)
         np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
         assert (a.fitness, a.inlier_rmse, a.iterations) == (b.fitness, b.inlier_rmse, b.iterations)
@@ -278,22 +279,25 @@ class TestRansacCoarse:
         points = rng.uniform(-5.0, 5.0, size=(80, 3))
         desc = rng.random((80, 33))
         cloud = PointCloud(points)
-        res = ransac_coarse(cloud, cloud, desc, desc, config, seed=3)
+        res = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=3)
         fitness, rmse = evaluate_alignment(
             cloud, SpatialIndex(points), res.transform, config.ransac_distance_threshold
         )
         assert fitness == res.fitness
         assert rmse == res.inlier_rmse
 
-    def test_unprunable_matches_give_failure_result(self, rng):
+    def test_unprunable_matches_give_failure_result(self, rng, config, monkeypatch):
         # every match is mutual, but the target is the source shrunk 100
         # times, so no sample passes the 10% edge check: no hypothesis is
         # scored, which is a DataError, not an identity with fitness 0
-        config = PipelineConfig(ransac_max_iterations=500)
+        monkeypatch.setattr("voxloc.registration.RANSAC_MAX_ITERATIONS", 500)
         points = rng.uniform(-5.0, 5.0, size=(40, 3))
         desc = rng.random((40, 33))
         with pytest.raises(DataError, match="500 iterations"):
-            ransac_coarse(PointCloud(points), PointCloud(points * 0.01), desc, desc, config, seed=0)
+            ransac_coarse(
+                PointCloud(points), PointCloud(points * 0.01), desc, desc,
+                config.ransac_distance_threshold, seed=0,
+            )
 
     def test_fewer_than_three_mutual_matches_raise(self, rng, config):
         # identical target rows: every source matches target 0 (ties go to
@@ -305,19 +309,24 @@ class TestRansacCoarse:
         np.testing.assert_array_equal(matches, np.zeros(40))
         cloud = PointCloud(points)
         with pytest.raises(DataError, match="only 1 mutual"):
-            ransac_coarse(cloud, cloud, source_desc, target_desc, config, seed=0)
+            ransac_coarse(
+                cloud, cloud, source_desc, target_desc, config.ransac_distance_threshold, seed=0
+            )
 
-    def test_samples_only_mutual_matches(self, rng):
+    def test_samples_only_mutual_matches(self, rng, config, monkeypatch):
         # 20 true matches among 220: the 200 distractors all match target 0,
         # whose nearest source is source 0, so the mutual filter drops them
         # and the first sample is already right
-        config = PipelineConfig(ransac_max_iterations=50)
+        monkeypatch.setattr("voxloc.registration.RANSAC_MAX_ITERATIONS", 50)
         truth = RigidTransform(rotation_exp([0.0, 0.0, 0.4]), np.array([3.0, -1.0, 0.5]))
         points = rng.uniform(-10.0, 10.0, size=(220, 3))
         target_desc = rng.random((20, 33)) * 10.0
         source_desc = np.vstack([target_desc, target_desc[0] + rng.random((200, 33))])
         target = PointCloud(truth.apply(points[:20]))
-        res = ransac_coarse(PointCloud(points), target, source_desc, target_desc, config, seed=1)
+        res = ransac_coarse(
+            PointCloud(points), target, source_desc, target_desc,
+            config.ransac_distance_threshold, seed=1,
+        )
         assert res.converged
         np.testing.assert_allclose(res.transform.rotation, truth.rotation, atol=1e-9)
         np.testing.assert_allclose(res.transform.translation, truth.translation, atol=1e-9)
@@ -326,14 +335,13 @@ class TestRansacCoarse:
         cloud = PointCloud(rng.normal(size=(2, 3)))
         desc = rng.random((2, 33))
         with pytest.raises(ValueError):
-            ransac_coarse(cloud, cloud, desc, desc, config, seed=0)
+            ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=0)
 
 
 class TestIcpPointToPlane:
     def _aligned_setup(self, rng):
         room = _wall_room(rng)
         grid = voxelize(room, 0.1)
-        grid.compute_normals()
         source = PointCloud(room.points[rng.choice(len(room), 4000, replace=False)])
         return source, planar_cells(grid)
 
@@ -352,7 +360,6 @@ class TestIcpPointToPlane:
         xy = rng.uniform(-2.0, 2.0, size=(5000, 2))
         plane = PointCloud(np.column_stack([xy, np.zeros(len(xy))]))
         grid = voxelize(plane, 0.1)
-        grid.compute_normals()
         shifted = PointCloud(plane.points + [0.0, 0.0, 0.05])
         res = icp_point_to_plane(
             shifted, *planar_cells(grid), RigidTransform.identity(), _ICP_DISTANCE, 1
@@ -369,7 +376,7 @@ class TestIcpPointToPlane:
         res = icp_point_to_plane(source, *target, init, _ICP_DISTANCE, _ICP_ITERATIONS)
         assert res.converged
         assert np.linalg.norm(res.transform.translation) < 5e-3
-        assert np.degrees(np.linalg.norm(rotation_log(res.transform.rotation))) < 0.5
+        assert np.degrees(Rotation.from_matrix(res.transform.rotation).magnitude()) < 0.5
 
     def test_rmse_non_increasing_over_iterations(self, rng, monkeypatch):
         monkeypatch.setattr("voxloc.registration.CONVERGENCE_EPS", 1e-14)
@@ -398,9 +405,10 @@ class TestIcpPointToPlane:
                 empty, *target, RigidTransform.identity(), _ICP_DISTANCE, _ICP_ITERATIONS
             )
 
-    def test_grid_without_normals_raises(self, rng):
-        cloud = PointCloud(rng.normal(size=(100, 3)))
-        grid = voxelize(cloud, 0.1)  # normals never computed
+    def test_grid_without_normals_raises(self):
+        # one point per cell: no cell has the three points a normal needs
+        cloud = PointCloud(np.arange(300.0).reshape(100, 3))
+        grid = voxelize(cloud, 0.1)
         with pytest.raises(ValueError):
             planar_cells(grid)
 
@@ -408,9 +416,8 @@ class TestIcpPointToPlane:
         room = _wall_room(rng, density=100.0)
         lone = np.column_stack([np.arange(30.0), np.full(30, 20.0), np.full(30, 5.0)])
         grid = voxelize(PointCloud(np.vstack([room.points, lone])), 0.1)
-        grid.compute_normals()
+        index, normals = planar_cells(grid)  # estimates the grid's normals
         assert not grid.has_normal.all()  # the lone points' cells have none
-        index, normals = planar_cells(grid)
         np.testing.assert_array_equal(index.points, grid.means[grid.has_normal])
         np.testing.assert_array_equal(normals, grid.normals[grid.has_normal])
 
@@ -449,7 +456,6 @@ class TestIcpPointToPlane:
         floor = np.column_stack([xy, np.full(len(xy), 0.05)])
         strip = floor[:300] + [0.0, 0.0, 0.2]
         grid = voxelize(PointCloud(floor), 0.5)
-        grid.compute_normals()
         index, normals = planar_cells(grid)
         source = PointCloud(np.vstack([floor, strip]))
         identity = RigidTransform.identity()
