@@ -12,8 +12,6 @@ from .errors import ConfigError
 _POSITIVE_FLOATS = (
     "voxel_size_fine",
     "voxel_size_coarse",
-    "ransac_distance_threshold",
-    "icp_max_correspondence_distance",
     "cluster_distance",
 )
 _POSITIVE_INTS = (
@@ -24,10 +22,11 @@ _POSITIVE_INTS = (
 
 @dataclass
 class PipelineConfig:
+    """What a run chooses: two resolutions, from which every registration
+    distance derives, and four parking settings."""
+
     voxel_size_fine: float = 0.10
     voxel_size_coarse: float = 1.0
-    ransac_distance_threshold: float = 2.0
-    icp_max_correspondence_distance: float = 0.5
     cluster_distance: float = 0.5
     cluster_min_points: int = 30
     occupancy_min_points: int = 10

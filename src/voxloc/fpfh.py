@@ -1,17 +1,24 @@
-"""Fast point feature histograms over oriented points.
+"""Fast point feature histograms over unoriented points.
 
 For a point pair, the local frame is ``u = n_source``, ``v = normalize(d x u)``,
 ``w = u x v`` with ``d`` running from source to target. The source role goes to
 the point whose normal is less aligned with the pair direction: when
 ``|n_i . d_hat| > |n_j . d_hat|`` the roles of i and j are swapped first. The
-three angles are
+three angles of Rusu et al. (ICRA 2009) are folded so that they do not depend
+on the sign of either normal:
 
-    alpha = v . n_target        in [-1, 1]
-    phi   = u . d_hat           in [-1, 1]
-    theta = atan2(w . n_target, u . n_target)   in (-pi, pi]
+    alpha = |v . n_target|      in [0, 1]
+    phi   = |u . d_hat|         in [0, 1]
+    theta = atan2(|w . n_target|, |u . n_target|)   in [0, pi/2]
 
-Each angle is histogrammed into 11 uniform bins, giving 33 bins total; the
-final descriptor re-weights neighbor histograms by inverse distance.
+Flipping the source normal maps the signed angles (alpha, phi, theta) to
+(-alpha, -phi, pi - theta), and flipping the target normal maps them to
+(-alpha, phi, theta + pi); the folded ones stay put. The absolute values are
+taken of the dot products, before atan2, so a flip changes no bit of a
+descriptor. Normals therefore need no consistent orientation.
+
+Each angle is histogrammed into 11 uniform bins over its range, giving 33 bins
+total; the final descriptor re-weights neighbor histograms by inverse distance.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ PARALLEL_TOL = 1e-9  # |d_hat x u| below this means the frame is undefined
 def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.ndarray):
     """Pair angles of each row of (p, n) against the same row of (pts, nrm).
 
-    Returns (alpha, phi, theta, valid); invalid rows are coincident points or
-    pairs whose direction is parallel to the source normal.
+    Returns the folded (alpha, phi, theta, valid); invalid rows are coincident
+    points or pairs whose direction is parallel to the source normal.
     """
     d = pts - p
     dist = np.sqrt((d * d).sum(axis=1))
@@ -52,10 +59,9 @@ def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.nd
     v = cross / np.where(cross_norm > 0.0, cross_norm, 1.0)[:, None]
     w = np.cross(u, v)
 
-    alpha = np.clip((v * n_target).sum(axis=1), -1.0, 1.0)
-    phi = np.clip((u * direction).sum(axis=1), -1.0, 1.0)
-    theta = np.arctan2((w * n_target).sum(axis=1), (u * n_target).sum(axis=1))
-    theta = np.where(theta <= -np.pi, np.pi, theta)
+    alpha = np.minimum(np.abs((v * n_target).sum(axis=1)), 1.0)
+    phi = np.minimum(np.abs((u * direction).sum(axis=1)), 1.0)
+    theta = np.arctan2(np.abs((w * n_target).sum(axis=1)), np.abs((u * n_target).sum(axis=1)))
     return alpha, phi, theta, valid
 
 
@@ -65,7 +71,7 @@ def _bin_indices(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def compute_fpfh(points: np.ndarray, normals: np.ndarray, radius: float) -> np.ndarray:
-    """FPFH descriptors for a whole oriented cloud: (N, 33).
+    """FPFH descriptors for a whole cloud with normals of any sign: (N, 33).
 
     A point's SPFH bins the angles of its valid pairs within radius and
     divides each 11-bin block by their count. Its descriptor adds the mean,
@@ -97,9 +103,9 @@ def compute_fpfh(points: np.ndarray, normals: np.ndarray, radius: float) -> np.n
         base = rows * DESCRIPTOR_SIZE
         flat = np.concatenate(
             [
-                base + _bin_indices(alpha[valid], -1.0, 1.0),
-                base + BINS_PER_FEATURE + _bin_indices(phi[valid], -1.0, 1.0),
-                base + 2 * BINS_PER_FEATURE + _bin_indices(theta[valid], -np.pi, np.pi),
+                base + _bin_indices(alpha[valid], 0.0, 1.0),
+                base + BINS_PER_FEATURE + _bin_indices(phi[valid], 0.0, 1.0),
+                base + 2 * BINS_PER_FEATURE + _bin_indices(theta[valid], 0.0, np.pi / 2.0),
             ]
         )
         spfh_all = np.bincount(flat, minlength=n * DESCRIPTOR_SIZE).astype(float)

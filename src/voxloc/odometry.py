@@ -29,7 +29,9 @@ from .transform import RigidTransform, Trajectory, orthonormalize_rotation
 from .voxel import VoxelGrid, downsample, voxelize
 
 DEFAULT_THRESHOLD = 1.0     # correspondence bound until the deviation model warms up
-REGISTRATION_SCALE = 5.0    # local map voxel size = scale * voxel_size_fine
+# over voxel_size_fine: the local map's voxel size, and the fine stage's
+# whole-cloud cell size and correspondence distance
+REGISTRATION_SCALE = 5.0
 MAP_RANGE = 100.0           # cells farther than this from the pose are evicted
 
 

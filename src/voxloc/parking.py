@@ -285,17 +285,19 @@ def spaces_from_reference(
     return spaces
 
 
+def space_record(space: ParkingSpace) -> dict:
+    """A space as the JSON record that spaces.json and scene.json hold."""
+    return {
+        "id": int(space.space_id),
+        "centroid": [float(v) for v in space.box.centroid],
+        "dims": [float(v) for v in space.box.dims],
+        "yaw": float(space.box.yaw),
+        "state": space.state.value,
+    }
+
+
 def save_spaces(path: str | Path, spaces: list[ParkingSpace]) -> None:
-    payload = [
-        {
-            "id": space.space_id,
-            "centroid": [float(v) for v in space.box.centroid],
-            "dims": [float(v) for v in space.box.dims],
-            "yaw": float(space.box.yaw),
-            "state": space.state.value,
-        }
-        for space in spaces
-    ]
+    payload = [space_record(space) for space in spaces]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 

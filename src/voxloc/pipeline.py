@@ -37,7 +37,7 @@ from .evaluation import (
 from .fpfh import compute_fpfh
 from .io import read_ply, read_poses, write_ply, write_poses
 from .odometry import REGISTRATION_SCALE, OdometryState, combine_scans
-from .parking import ParkingSpace, save_spaces, spaces_from_reference
+from .parking import ParkingSpace, save_spaces, space_record, spaces_from_reference
 from .registration import (
     ICP_MAX_ITERATIONS,
     RegistrationResult,
@@ -45,7 +45,6 @@ from .registration import (
     planar_cells,
     ransac_coarse,
 )
-from .spatial import SpatialIndex
 from .synthetic import SceneSpec, generate_synthetic_scene
 from .transform import RigidTransform, Trajectory
 from .voxel import VoxelGrid, downsample, voxelize
@@ -57,8 +56,7 @@ EXIT_INPUT_ERROR = 2
 _DEFAULT_VOXEL_COLOR = (128, 128, 128)
 _PLANARITY_RATIO = 0.03  # max smallest/largest eigenvalue for a feature cell
 FPFH_SCALE = 5.0         # FPFH descriptor radius over voxel_size_coarse
-_ANCHOR_SCALE = 4.0      # normal-orientation anchor radius over the FPFH radius
-_ANCHOR_RADIUS_CAP = 20.0  # beyond this the anchor centroid barely moves
+RANSAC_SCALE = 2.0       # RANSAC inlier distance over voxel_size_coarse
 # whole-cloud ICP iteration cap, above the per-scan one because it starts
 # from the metre-level RANSAC error
 WHOLE_CLOUD_MAX_ITERATIONS = 200
@@ -136,17 +134,7 @@ def export_scene(grid: VoxelGrid, spaces: list[ParkingSpace], path: str | Path) 
         {"key": key, "center": center, "color": color}
         for key, center, color in zip(keys.tolist(), centers.tolist(), rows)
     ]
-    boxes = []
-    for space in spaces:
-        boxes.append(
-            {
-                "id": int(space.space_id),
-                "centroid": [float(c) for c in space.box.centroid],
-                "dims": [float(d) for d in space.box.dims],
-                "yaw": float(space.box.yaw),
-                "state": space.state.value,
-            }
-        )
+    boxes = [space_record(space) for space in spaces]
     document = {"voxel_size": float(size), "voxels": voxels, "boxes": boxes}
     with open(path, "w", encoding="ascii") as handle:
         json.dump(document, handle, sort_keys=True)
@@ -161,28 +149,14 @@ def two_level_grids(cloud: PointCloud, config: PipelineConfig) -> tuple[VoxelGri
 
 
 def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointCloud, np.ndarray]:
-    """Feature cloud for coarse matching: normal-bearing cell means + FPFH.
+    """Feature cloud for coarse matching: normal-bearing cell means + FPFH
+    within FPFH_SCALE * voxel_size_coarse.
 
-    Each normal is oriented toward the centroid of the cell means inside its
-    own descriptor radius. That anchor moves rigidly with the cloud and
-    depends only on nearby geometry, so two partially overlapping grids of
-    the same scene orient shared cells the same way regardless of their
-    frames.
+    A normal's sign is arbitrary: the FPFH angles are folded so that a flip
+    of either normal of a pair changes no bit of a descriptor, so two grids of
+    the same scene need no shared orientation rule.
     """
-    means = coarse.means
-    index = SpatialIndex(means)
-    radius = FPFH_SCALE * config.voxel_size_coarse
-    anchor_radius = min(_ANCHOR_SCALE * radius, _ANCHOR_RADIUS_CAP)
-    pairs, _ = index.pairs_within(anchor_radius)
-    # each cell's own mean, then its pair partners; bincount adds in this order
-    cells = np.arange(len(means))
-    owner = np.concatenate([cells, pairs[:, 0], pairs[:, 1]])
-    member = np.concatenate([cells, pairs[:, 1], pairs[:, 0]])
-    sums = np.column_stack(
-        [np.bincount(owner, weights=means[member, a], minlength=len(means)) for a in range(3)]
-    )
-    anchors = sums / np.bincount(owner, minlength=len(means))[:, None]
-    coarse.compute_normals(viewpoint=anchors)
+    coarse.compute_normals()
     mask = coarse.has_normal.copy()
     # keep only strongly planar cells: cells straddling surface edges have
     # normals that are unstable under re-voxelization and only add noise
@@ -190,14 +164,14 @@ def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointClo
     if rows.size:
         w = np.linalg.eigvalsh(coarse.covariances[rows])
         planar = w[:, 0] <= _PLANARITY_RATIO * w[:, 2]
-        keep = np.zeros(len(means), dtype=bool)
+        keep = np.zeros(len(coarse), dtype=bool)
         keep[rows] = planar
         mask &= keep
     if int(mask.sum()) < 3:
         raise DataError("coarse grid has fewer than 3 cells with stable normals")
     points = coarse.means[mask]
     normals = coarse.normals[mask]
-    descriptors = compute_fpfh(points, normals, radius)
+    descriptors = compute_fpfh(points, normals, FPFH_SCALE * config.voxel_size_coarse)
     return PointCloud(points), descriptors
 
 
@@ -205,13 +179,13 @@ def coarse_align(
     reference_coarse: VoxelGrid, combined: PointCloud, config: PipelineConfig, seed: int
 ) -> RegistrationResult:
     """Coarse stage: FPFH + RANSAC from the combined scan cloud onto the
-    reference's coarse grid."""
+    reference's coarse grid, inliers within RANSAC_SCALE * voxel_size_coarse."""
     target_cloud, target_desc = coarse_features(reference_coarse, config)
     _, combined_coarse = two_level_grids(combined, config)
     source_cloud, source_desc = coarse_features(combined_coarse, config)
     return ransac_coarse(
         source_cloud, target_cloud, source_desc, target_desc,
-        config.ransac_distance_threshold, seed,
+        RANSAC_SCALE * config.voxel_size_coarse, seed,
     )
 
 
@@ -231,13 +205,13 @@ def refine_scans(
     raw scan is refined from its odometry pose mapped through that alignment
     (at most registration.ICP_MAX_ITERATIONS each), so the scans no longer
     each climb the coarse error on their own. Both steps take correspondences
-    within icp_max_correspondence_distance and stop at
+    within that same distance and stop at
     registration.CONVERGENCE_EPS. Returns the whole-cloud result and the
     per-scan results."""
     index, normals = planar_cells(reference_fine)
     combined = concat_clouds([scan.transformed(pose) for scan, pose in zip(scans, odometry_poses)])
-    sparse = downsample(voxelize(combined, REGISTRATION_SCALE * config.voxel_size_fine))
-    max_distance = config.icp_max_correspondence_distance
+    max_distance = REGISTRATION_SCALE * config.voxel_size_fine
+    sparse = downsample(voxelize(combined, max_distance))
     whole = icp_point_to_plane(
         sparse, index, normals, coarse_transform, max_distance, WHOLE_CLOUD_MAX_ITERATIONS
     )

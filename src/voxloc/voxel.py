@@ -2,7 +2,9 @@
 
 Cell keys are ``floor(coordinate / voxel_size)`` per axis with the grid origin
 at zero. Each occupied cell carries its point count, mean, sample covariance
-(count >= 3), an optional surface normal, and an optional mean color.
+(count >= 3), an optional surface normal, and an optional mean color. A
+normal's sign is arbitrary: every consumer (point-to-plane ICP, the folded
+FPFH angles) gives the same result for either sign.
 """
 
 from __future__ import annotations
@@ -14,43 +16,6 @@ from .cloud import PointCloud
 EIGENGAP_TOL = 1e-12  # below this the normal direction is ill-defined
 
 _COV_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-
-def _orient_normals(normals: np.ndarray, means: np.ndarray, viewpoint: np.ndarray | None) -> np.ndarray:
-    """Fix normal signs: toward the viewpoint, else into the z >= 0 hemisphere
-    (ties broken toward y >= 0, then x >= 0).
-
-    viewpoint may be a single point (3,) or one point per cell (N, 3)."""
-    if viewpoint is not None:
-        view = np.asarray(viewpoint, dtype=float)
-        dots = ((view - means) * normals).sum(axis=1)
-        sign = np.where(dots < 0.0, -1.0, 1.0)
-    else:
-        x, y, z = normals[:, 0], normals[:, 1], normals[:, 2]
-        sign = np.where(
-            z != 0.0, np.sign(z),
-            np.where(y != 0.0, np.sign(y), np.where(x >= 0.0, 1.0, -1.0)),
-        )
-    return normals * sign[:, None]
-
-
-def _normals_from_covariances(
-    covariances: np.ndarray, means: np.ndarray, viewpoint: np.ndarray | None
-):
-    """Smallest-eigenvector normals for a stack of covariances.
-
-    Returns (normals, defined) where defined is False when the two smallest
-    eigenvalues are separated by less than EIGENGAP_TOL.
-    """
-    w, v = np.linalg.eigh(covariances)
-    defined = (w[:, 1] - w[:, 0]) >= EIGENGAP_TOL
-    normals = v[:, :, 0]
-    norms = np.linalg.norm(normals, axis=1)
-    ok = norms > 0
-    normals = np.where(ok[:, None], normals / np.where(ok, norms, 1.0)[:, None], 0.0)
-    defined &= ok
-    normals = _orient_normals(normals, means, viewpoint)
-    return normals, defined
 
 
 class VoxelGrid:
@@ -166,24 +131,23 @@ class VoxelGrid:
         if self._color_sums is not None:
             self._color_sums = self._color_sums[keep]
 
-    def compute_normals(self, viewpoint: np.ndarray | None = None) -> None:
-        """Estimate normals for every cell that has a covariance; the others
-        keep a zero normal.
-
-        viewpoint orients the signs: a single point (3,) or one anchor per
-        cell (len(grid), 3)."""
+    def compute_normals(self) -> None:
+        """Estimate the smallest-eigenvector normal of every cell that has a
+        covariance whose two smallest eigenvalues are at least EIGENGAP_TOL
+        apart; the others keep a zero normal. A normal keeps the sign eigh
+        gives it."""
         self._normals = np.zeros((len(self), 3))
         self._has_normal = np.zeros(len(self), bool)
         rows = np.flatnonzero(self.has_covariance)
         if rows.size == 0:
             return
-        vp = viewpoint
-        if vp is not None:
-            vp = np.asarray(vp, dtype=float)
-            if vp.ndim == 2:
-                vp = vp[rows]
         cov = _covariances(self._counts[rows], self._sums[rows], self._moments[rows])
-        normals, defined = _normals_from_covariances(cov, self.means[rows], vp)
+        w, v = np.linalg.eigh(cov)
+        normals = v[:, :, 0]
+        norms = np.linalg.norm(normals, axis=1)
+        ok = norms > 0
+        normals = np.where(ok[:, None], normals / np.where(ok, norms, 1.0)[:, None], 0.0)
+        defined = ((w[:, 1] - w[:, 0]) >= EIGENGAP_TOL) & ok
         self._normals[rows] = np.where(defined[:, None], normals, 0.0)
         self._has_normal[rows] = defined
 

@@ -1,18 +1,23 @@
 """Feature histogram tests against hand-evaluated and brute-force oracles.
 
 The pair-angle cases run on the batch helper that compute_fpfh uses; the
-SPFH and weighting cases read rows of compute_fpfh.
+SPFH and weighting cases read rows of compute_fpfh. The angles are folded, so
+the descriptors must not change when any normal flips.
 """
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxloc.fpfh import BINS_PER_FEATURE, DESCRIPTOR_SIZE, _pair_angles_batch, compute_fpfh
 from voxloc.transform import rotation_exp
 
 
 def _angles_oracle(p_i, n_i, p_j, n_j):
-    """Scalar re-evaluation of the Darboux-frame angles, swap rule included."""
+    """Scalar re-evaluation of the folded Darboux-frame angles, swap rule
+    included."""
     p_i, n_i = np.asarray(p_i, float), np.asarray(n_i, float)
     p_j, n_j = np.asarray(p_j, float), np.asarray(n_j, float)
     d = p_j - p_i
@@ -25,9 +30,9 @@ def _angles_oracle(p_i, n_i, p_j, n_j):
     v = np.cross(dhat, u)
     v = v / np.linalg.norm(v)
     w = np.cross(u, v)
-    alpha = float(np.dot(v, n_j))
-    phi = float(np.dot(u, dhat))
-    theta = float(np.arctan2(np.dot(w, n_j), np.dot(u, n_j)))
+    alpha = abs(float(np.dot(v, n_j)))
+    phi = abs(float(np.dot(u, dhat)))
+    theta = float(np.arctan2(abs(np.dot(w, n_j)), abs(np.dot(u, n_j))))
     return alpha, phi, theta
 
 
@@ -52,9 +57,9 @@ def _spfh_oracle(points, normals, i, radius):
         if np.linalg.norm(np.cross(dhat, u)) < 1e-9:
             continue
         alpha, phi, theta = _angles_oracle(points[i], normals[i], points[j], normals[j])
-        bins[_bin11(alpha, -1.0, 1.0)] += 1
-        bins[BINS_PER_FEATURE + _bin11(phi, -1.0, 1.0)] += 1
-        bins[2 * BINS_PER_FEATURE + _bin11(theta, -np.pi, np.pi)] += 1
+        bins[_bin11(alpha, 0.0, 1.0)] += 1
+        bins[BINS_PER_FEATURE + _bin11(phi, 0.0, 1.0)] += 1
+        bins[2 * BINS_PER_FEATURE + _bin11(theta, 0.0, np.pi / 2.0)] += 1
         kept += 1
     if kept:
         bins /= kept
@@ -96,9 +101,9 @@ def _random_pairs(rng, n):
 def _one_hot(alpha, phi, theta):
     """SPFH of a point with a single valid pair of these angles."""
     bins = np.zeros(DESCRIPTOR_SIZE)
-    bins[_bin11(alpha, -1.0, 1.0)] = 1.0
-    bins[BINS_PER_FEATURE + _bin11(phi, -1.0, 1.0)] = 1.0
-    bins[2 * BINS_PER_FEATURE + _bin11(theta, -np.pi, np.pi)] = 1.0
+    bins[_bin11(alpha, 0.0, 1.0)] = 1.0
+    bins[BINS_PER_FEATURE + _bin11(phi, 0.0, 1.0)] = 1.0
+    bins[2 * BINS_PER_FEATURE + _bin11(theta, 0.0, np.pi / 2.0)] = 1.0
     return bins
 
 
@@ -121,12 +126,13 @@ class TestPairAngles:
         assert theta == pytest.approx(np.pi / 2.0, abs=1e-15)
 
     def test_swap_picks_less_aligned_source(self):
-        # n_i parallel to the pair direction, so the roles must swap
+        # n_i parallel to the pair direction, so the roles must swap; the
+        # signed theta is -pi/2, folded to pi/2
         alpha, phi, theta, valid = _angles((0, 0, 0), (1, 0, 0), (1, 0, 0), _UP)
         assert valid
         assert alpha == pytest.approx(0.0, abs=1e-15)
         assert phi == pytest.approx(0.0, abs=1e-15)
-        assert theta == pytest.approx(-np.pi / 2.0, abs=1e-15)
+        assert theta == pytest.approx(np.pi / 2.0, abs=1e-15)
 
     def test_matches_scalar_oracle(self, rng):
         p_i, n_i, p_j, n_j = _random_pairs(rng, 200)
@@ -139,9 +145,9 @@ class TestPairAngles:
     def test_ranges(self, rng):
         alpha, phi, theta, valid = _pair_angles_batch(*_random_pairs(rng, 300))
         assert valid.all()
-        assert ((-1.0 <= alpha) & (alpha <= 1.0)).all()
-        assert ((-1.0 <= phi) & (phi <= 1.0)).all()
-        assert ((-np.pi < theta) & (theta <= np.pi)).all()
+        assert ((0.0 <= alpha) & (alpha <= 1.0)).all()
+        assert ((0.0 <= phi) & (phi <= 1.0)).all()
+        assert ((0.0 <= theta) & (theta <= np.pi / 2.0)).all()
 
     def test_symmetric_under_argument_order(self, rng):
         p_i, n_i, p_j, n_j = _random_pairs(rng, 100)
@@ -171,7 +177,7 @@ class TestSpfh:
         points = np.column_stack([xy, np.zeros(60)])
         normals = np.tile(_UP, (60, 1))
         out = compute_fpfh(points, normals, radius=3.0)
-        zero_bin = _bin11(0.0, -1.0, 1.0)
+        zero_bin = _bin11(0.0, 0.0, 1.0)
         for block in (0, 1):
             bins = out[:, block * BINS_PER_FEATURE:(block + 1) * BINS_PER_FEATURE]
             assert (bins[:, zero_bin] > 0.0).all()
@@ -273,3 +279,43 @@ class TestComputeFpfh:
         normals = np.vstack([normals, normals[:5]])
         out = compute_fpfh(points, normals, 1.5)
         assert np.isfinite(out).all()
+
+
+@st.composite
+def _flip_cases(draw):
+    """(points, normals, flips): random clouds, or lattices with axis-aligned
+    normals, whose pairs tie in the swap rule or lie along a normal."""
+    n = draw(st.integers(2, 40))
+    shape = (n, 3)
+    if draw(st.booleans()):
+        points = draw(hnp.arrays(np.int64, shape, elements=st.integers(-2, 2))) * 0.5
+        normals = np.eye(3)[draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))]
+    else:
+        points = draw(hnp.arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
+        normals = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        normals[np.linalg.norm(normals, axis=1) == 0.0] = _UP
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return points, normals, draw(hnp.arrays(np.bool_, n))
+
+
+class TestNormalSign:
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(_flip_cases())
+    def test_flipping_normals_changes_no_angle_bit(self, case):
+        # the dot products are folded before atan2; folding theta after it
+        # would round pi - theta and could move a pair across a bin edge
+        points, normals, flips = case
+        flipped = np.where(flips[:, None], -normals, normals)
+        pairs = (points[:-1], normals[:-1], points[1:], normals[1:])
+        flipped_pairs = (points[:-1], flipped[:-1], points[1:], flipped[1:])
+        for out, base in zip(_pair_angles_batch(*flipped_pairs), _pair_angles_batch(*pairs)):
+            np.testing.assert_array_equal(out, base)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(_flip_cases())
+    def test_flipping_normals_changes_no_bit(self, case):
+        points, normals, flips = case
+        flipped = np.where(flips[:, None], -normals, normals)
+        np.testing.assert_array_equal(
+            compute_fpfh(points, flipped, 1.8), compute_fpfh(points, normals, 1.8)
+        )

@@ -1,5 +1,7 @@
 """Point cloud and pose file round-trips, parse errors, config loading."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -320,10 +322,16 @@ def test_pose_precision_at_least_17_digits(tmp_path):
 
 
 def test_empty_config_gives_defaults():
-    cfg = parse_config({})
-    assert cfg.ransac_distance_threshold == 2.0
-    assert cfg.voxel_size_fine == 0.10
-    assert cfg.voxel_size_coarse == 1.0
+    # two resolutions and four parking settings; every registration distance
+    # derives from the two voxel sizes
+    assert asdict(parse_config({})) == {
+        "voxel_size_fine": 0.10,
+        "voxel_size_coarse": 1.0,
+        "cluster_distance": 0.5,
+        "cluster_min_points": 30,
+        "occupancy_min_points": 10,
+        "car_label": 1,
+    }
 
 
 def test_explicit_fine_size_accepted():
@@ -344,6 +352,8 @@ def test_unknown_key_named_in_error():
         "ransac_max_iterations",
         "ransac_confidence",
         "icp_max_iterations",
+        "ransac_distance_threshold",
+        "icp_max_correspondence_distance",
     ):
         with pytest.raises(ConfigError, match=key):
             parse_config({key: 2.0})

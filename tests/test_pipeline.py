@@ -20,7 +20,7 @@ from voxloc.config import PipelineConfig, config_hash
 from voxloc.errors import DataError
 from voxloc.io import read_ply, read_poses, write_ply, write_poses
 from voxloc.odometry import combine_scans
-from voxloc.parking import OccupancyState, OrientedBox, ParkingSpace
+from voxloc.parking import OccupancyState, OrientedBox, ParkingSpace, save_spaces
 from voxloc.pipeline import (
     PipelineRun,
     coarse_features,
@@ -221,6 +221,15 @@ class TestExportScene:
         assert entry["dims"] == [4.5, 2.25, 1.5]
         assert entry["yaw"] == 0.7
         assert entry["state"] == "occupied"
+
+    def test_boxes_are_the_spaces_file_records(self, rng, tmp_path):
+        grid = voxelize(PointCloud(rng.uniform(0, 5, size=(50, 3))), 1.0)
+        box = OrientedBox(np.array([1.25, -2.5, 0.8]), np.array([4.5, 2.25, 1.5]), 0.7)
+        spaces = [ParkingSpace(3, box, OccupancyState.VACANT)]
+        export_scene(grid, spaces, tmp_path / "scene.json")
+        save_spaces(tmp_path / "spaces.json", spaces)
+        spaces_file = json.loads((tmp_path / "spaces.json").read_text())
+        assert _load_scene(tmp_path / "scene.json")["boxes"] == spaces_file
 
     def test_document_matches_schema(self, completed_run):
         doc = _load_scene(completed_run.artifacts["scene"])
@@ -524,11 +533,15 @@ def _localize_five_centimetre_noise_street(tmp_path, scene_seed):
     )
     result = run_pipeline(run)
     assert result.status == "ok"
+    # the folded FPFH descriptors discriminate less than signed ones, so
+    # RANSAC must still converge below its iteration cap
+    assert result.coarse.converged
     assert result.errors.xy.max() < 0.05
 
 
 @pytest.mark.slow
 def test_five_centimetre_noise_street_localizes(tmp_path):
+    # the hardest RANSAC case measured: 12 695 of 100 000 iterations
     _localize_five_centimetre_noise_street(tmp_path, 4)
 
 
@@ -572,7 +585,7 @@ class TestConfigHash:
 
     def test_changes_with_any_field(self):
         assert config_hash(PipelineConfig()) != config_hash(
-            PipelineConfig(icp_max_correspondence_distance=0.6))
+            PipelineConfig(voxel_size_fine=0.2))
 
 
 class TestCli:

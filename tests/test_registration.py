@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from voxloc.cloud import PointCloud
@@ -19,9 +21,11 @@ from voxloc.spatial import SpatialIndex
 from voxloc.transform import RigidTransform, rotation_exp
 from voxloc.voxel import voxelize
 
-# the pipeline's default correspondence distance and per-scan iteration cap
+# the pipeline's default ICP correspondence distance, per-scan ICP iteration
+# cap and RANSAC inlier distance
 _ICP_DISTANCE = 0.5
 _ICP_ITERATIONS = 50
+_RANSAC_THRESHOLD = 2.0
 
 
 def _random_rigid(rng, max_angle=np.pi, max_shift=10.0):
@@ -237,11 +241,11 @@ class TestEvaluateAlignment:
 
 
 class TestRansacCoarse:
-    def test_self_registration_is_identity(self, rng, config):
+    def test_self_registration_is_identity(self, rng):
         points = rng.uniform(-10.0, 10.0, size=(120, 3))
         desc = rng.random((120, 33)) * 10.0
         cloud = PointCloud(points)
-        res = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=0)
+        res = ransac_coarse(cloud, cloud, desc, desc, _RANSAC_THRESHOLD, seed=0)
         assert res.fitness == pytest.approx(1.0)
         assert res.converged
         np.testing.assert_allclose(res.transform.rotation, np.eye(3), atol=1e-6)
@@ -258,35 +262,35 @@ class TestRansacCoarse:
         source_cloud, source_desc = _features(reference, config)
         res = ransac_coarse(
             source_cloud, target_cloud, source_desc, target_desc,
-            config.ransac_distance_threshold, seed=2,
+            _RANSAC_THRESHOLD, seed=2,
         )
         angle_err = Rotation.from_matrix(res.transform.rotation @ truth.rotation.T).magnitude()
         assert np.degrees(angle_err) < 5.0
         assert np.linalg.norm(res.transform.translation - truth.translation) < 0.5
         assert res.fitness > 0.5
 
-    def test_deterministic_for_fixed_seed(self, rng, config):
+    def test_deterministic_for_fixed_seed(self, rng):
         points = rng.uniform(-5.0, 5.0, size=(60, 3))
         desc = rng.random((60, 33))
         cloud = PointCloud(points)
-        a = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=7)
-        b = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=7)
+        a = ransac_coarse(cloud, cloud, desc, desc, _RANSAC_THRESHOLD, seed=7)
+        b = ransac_coarse(cloud, cloud, desc, desc, _RANSAC_THRESHOLD, seed=7)
         np.testing.assert_array_equal(a.transform.rotation, b.transform.rotation)
         np.testing.assert_array_equal(a.transform.translation, b.transform.translation)
         assert (a.fitness, a.inlier_rmse, a.iterations) == (b.fitness, b.inlier_rmse, b.iterations)
 
-    def test_reported_score_matches_reevaluation(self, rng, config):
+    def test_reported_score_matches_reevaluation(self, rng):
         points = rng.uniform(-5.0, 5.0, size=(80, 3))
         desc = rng.random((80, 33))
         cloud = PointCloud(points)
-        res = ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=3)
+        res = ransac_coarse(cloud, cloud, desc, desc, _RANSAC_THRESHOLD, seed=3)
         fitness, rmse = evaluate_alignment(
-            cloud, SpatialIndex(points), res.transform, config.ransac_distance_threshold
+            cloud, SpatialIndex(points), res.transform, _RANSAC_THRESHOLD
         )
         assert fitness == res.fitness
         assert rmse == res.inlier_rmse
 
-    def test_unprunable_matches_give_failure_result(self, rng, config, monkeypatch):
+    def test_unprunable_matches_give_failure_result(self, rng, monkeypatch):
         # every match is mutual, but the target is the source shrunk 100
         # times, so no sample passes the 10% edge check: no hypothesis is
         # scored, which is a DataError, not an identity with fitness 0
@@ -296,10 +300,10 @@ class TestRansacCoarse:
         with pytest.raises(DataError, match="500 iterations"):
             ransac_coarse(
                 PointCloud(points), PointCloud(points * 0.01), desc, desc,
-                config.ransac_distance_threshold, seed=0,
+                _RANSAC_THRESHOLD, seed=0,
             )
 
-    def test_fewer_than_three_mutual_matches_raise(self, rng, config):
+    def test_fewer_than_three_mutual_matches_raise(self, rng):
         # identical target rows: every source matches target 0 (ties go to
         # the lowest index), whose nearest source is a single point
         points = rng.uniform(-5.0, 5.0, size=(40, 3))
@@ -310,10 +314,10 @@ class TestRansacCoarse:
         cloud = PointCloud(points)
         with pytest.raises(DataError, match="only 1 mutual"):
             ransac_coarse(
-                cloud, cloud, source_desc, target_desc, config.ransac_distance_threshold, seed=0
+                cloud, cloud, source_desc, target_desc, _RANSAC_THRESHOLD, seed=0
             )
 
-    def test_samples_only_mutual_matches(self, rng, config, monkeypatch):
+    def test_samples_only_mutual_matches(self, rng, monkeypatch):
         # 20 true matches among 220: the 200 distractors all match target 0,
         # whose nearest source is source 0, so the mutual filter drops them
         # and the first sample is already right
@@ -325,17 +329,17 @@ class TestRansacCoarse:
         target = PointCloud(truth.apply(points[:20]))
         res = ransac_coarse(
             PointCloud(points), target, source_desc, target_desc,
-            config.ransac_distance_threshold, seed=1,
+            _RANSAC_THRESHOLD, seed=1,
         )
         assert res.converged
         np.testing.assert_allclose(res.transform.rotation, truth.rotation, atol=1e-9)
         np.testing.assert_allclose(res.transform.translation, truth.translation, atol=1e-9)
 
-    def test_too_few_points_raises(self, rng, config):
+    def test_too_few_points_raises(self, rng):
         cloud = PointCloud(rng.normal(size=(2, 3)))
         desc = rng.random((2, 33))
         with pytest.raises(ValueError):
-            ransac_coarse(cloud, cloud, desc, desc, config.ransac_distance_threshold, seed=0)
+            ransac_coarse(cloud, cloud, desc, desc, _RANSAC_THRESHOLD, seed=0)
 
 
 class TestIcpPointToPlane:
@@ -474,3 +478,37 @@ class TestIcpPointToPlane:
         assert 0.0 <= res.fitness <= 1.0
         assert res.inlier_rmse >= 0.0
         assert res.iterations >= 1
+
+
+@pytest.fixture(scope="module")
+def room_target():
+    """(source, index, normals) of a sparse wall room and its 0.25 m planar cells."""
+    room = _wall_room(np.random.default_rng(5), density=60.0)
+    return (PointCloud(room.points[::4]),) + planar_cells(voxelize(room, 0.25))
+
+
+class TestNormalSign:
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        flip_seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 1.0),
+        rotation=st.tuples(*[st.floats(-0.05, 0.05)] * 3),
+        shift=st.tuples(*[st.floats(-0.2, 0.2)] * 3),
+        kernel=st.sampled_from([None, 0.05, 0.5]),
+    )
+    def test_flipping_target_normals_changes_no_bit(
+        self, room_target, flip_seed, share, rotation, shift, kernel
+    ):
+        # a flip negates a Jacobian row together with its residual, so every
+        # product in the normal equations is the same
+        source, index, normals = room_target
+        flips = np.random.default_rng(flip_seed).random(len(normals)) < share
+        flipped = np.where(flips[:, None], -normals, normals)
+        init = RigidTransform(rotation_exp(rotation), np.array(shift))
+        base = icp_point_to_plane(source, index, normals, init, _ICP_DISTANCE, 5, kernel)
+        out = icp_point_to_plane(source, index, flipped, init, _ICP_DISTANCE, 5, kernel)
+        np.testing.assert_array_equal(out.transform.rotation, base.transform.rotation)
+        np.testing.assert_array_equal(out.transform.translation, base.transform.translation)
+        assert (out.fitness, out.inlier_rmse, out.iterations, out.converged) == (
+            base.fitness, base.inlier_rmse, base.iterations, base.converged
+        )

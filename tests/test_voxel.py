@@ -23,18 +23,20 @@ def _cov_two_pass(pts):
 
 
 def _normal_oracle(pts):
-    """Smallest-eigenvector normal of one cell's points, signed into z >= 0
-    (ties toward y >= 0, then x >= 0); None below 3 points or without an
-    eigengap of 1e-12."""
+    """Smallest-eigenvector normal of one cell's points, of either sign; None
+    below 3 points or without an eigengap of 1e-12."""
     if len(pts) < 3:
         return None
     w, v = np.linalg.eigh(np.cov(pts, rowvar=False, ddof=1))
     if w[1] - w[0] < 1e-12:
         return None
-    normal = v[:, 0]
-    x, y, z = normal
-    sign = np.sign(z) if z != 0.0 else np.sign(y) if y != 0.0 else (1.0 if x >= 0.0 else -1.0)
-    return normal * sign
+    return v[:, 0]
+
+
+def _assert_normal(normal, expected, atol):
+    """A normal's sign is arbitrary: compare it with expected up to sign."""
+    sign = 1.0 if normal @ expected >= 0.0 else -1.0
+    np.testing.assert_allclose(sign * normal, expected, atol=atol)
 
 
 def _keys_by_floor(pts, size):
@@ -69,9 +71,9 @@ def _one_cell(pts, colors=None):
     return grid
 
 
-def _cell_normal(pts, viewpoint=None):
+def _cell_normal(pts):
     grid = _one_cell(pts)
-    grid.compute_normals(viewpoint)
+    grid.compute_normals()
     return grid.normals[0] if grid.has_normal[0] else None
 
 
@@ -128,16 +130,7 @@ class TestEstimateNormal:
     """Normals of single-cell grids from compute_normals."""
 
     def test_flat_patch_points_up(self):
-        np.testing.assert_allclose(_cell_normal(_SQUARE), [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_viewpoint_below_flips_sign(self):
-        normal = _cell_normal(_SQUARE, viewpoint=np.array([0.0, 0.0, -5.0]))
-        np.testing.assert_allclose(normal, [0.0, 0.0, -1.0], atol=1e-12)
-
-    def test_vertical_patches_follow_the_tie_rule(self):
-        # with z == 0 the sign comes from y, and with y == 0 too from x
-        np.testing.assert_allclose(_cell_normal(_SQUARE[:, [2, 0, 1]]), [1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(_cell_normal(_SQUARE[:, [0, 2, 1]]), [0.0, 1.0, 0.0], atol=1e-12)
+        _assert_normal(_cell_normal(_SQUARE), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_collinear_cell_has_no_normal(self):
         assert _cell_normal([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]) is None
@@ -235,26 +228,7 @@ class TestComputeNormals:
         grid.compute_normals()
         assert grid.has_normal.sum() >= 50
         for normal in grid.normals[grid.has_normal]:
-            np.testing.assert_allclose(normal, [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_viewpoint_below_flips_all(self, rng):
-        xy = rng.uniform(0.0, 4.0, size=(4000, 2))
-        pts = np.column_stack([xy, np.zeros(len(xy))])
-        grid = voxelize(PointCloud(pts), 0.5)
-        grid.compute_normals(viewpoint=np.array([2.0, 2.0, -10.0]))
-        for normal in grid.normals[grid.has_normal]:
-            np.testing.assert_allclose(normal, [0.0, 0.0, -1.0], atol=1e-12)
-
-    def test_per_cell_viewpoints(self, rng):
-        xy = rng.uniform(0.0, 4.0, size=(4000, 2))
-        pts = np.column_stack([xy, np.zeros(len(xy))])
-        grid = voxelize(PointCloud(pts), 0.5)
-        anchors = grid.means.copy()
-        anchors[:, 2] = np.where(np.arange(len(grid)) % 2 == 0, 1.0, -1.0)
-        grid.compute_normals(viewpoint=anchors)
-        rows = np.flatnonzero(grid.has_normal)
-        signs = np.where(rows % 2 == 0, 1.0, -1.0)
-        np.testing.assert_allclose(grid.normals[rows, 2], signs, atol=1e-12)
+            _assert_normal(normal, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_matches_per_cell_estimate(self, rng):
         pts = rng.normal(size=(3000, 3)) * [3.0, 3.0, 0.2]
@@ -267,7 +241,7 @@ class TestComputeNormals:
                 assert not grid.has_normal[row]
             else:
                 assert grid.has_normal[row]
-                np.testing.assert_allclose(grid.normals[row], single, atol=1e-9)
+                _assert_normal(grid.normals[row], single, atol=1e-9)
 
 
 class TestDownsample:
