@@ -157,6 +157,8 @@ def _cmd_parking(args) -> int:
         spaces = load_input(load_spaces, args.spaces, "spaces file")
     elif args.reference:
         reference = load_input(read_ply, args.reference, "reference cloud")
+        if reference.labels is None:
+            raise PipelineInputError(f"reference cloud {args.reference} has no labels")
         spaces = spaces_from_reference(reference, config, skipped=skipped)
     else:
         raise PipelineInputError("parking needs --reference or --spaces")
@@ -184,6 +186,8 @@ def _cmd_eval(args) -> int:
         raise PipelineInputError(
             f"{len(estimated)} estimated poses vs {len(ground_truth)} ground truth"
         )
+    if len(estimated) == 0:
+        raise PipelineInputError(f"poses {args.est} and {args.gt_poses} are empty")
     errors = evaluate_trajectory(estimated, ground_truth)
     out = _out_dir(args)
     write_errors_csv(out / "errors.csv", errors)

@@ -39,7 +39,6 @@ MAP_RANGE = 100.0           # cells farther than this from the pose are evicted
 class OdometryState:
     poses: list[RigidTransform] = field(default_factory=list)
     local_map: VoxelGrid | None = None  # built by the first register_scan
-    deviation_count: int = 0
     deviation_sum_sq: float = 0.0
     rejected: list[int] = field(default_factory=list)
 
@@ -60,9 +59,9 @@ def adaptive_threshold(state: OdometryState) -> float:
     """3-sigma bound from accumulated prediction deviations, clamped to
     [0.1 * DEFAULT_THRESHOLD, DEFAULT_THRESHOLD]; DEFAULT_THRESHOLD until two
     scans have been seen."""
-    if state.deviation_count < 2:
+    if len(state.poses) < 2:
         return DEFAULT_THRESHOLD
-    sigma = np.sqrt(state.deviation_sum_sq / state.deviation_count)
+    sigma = np.sqrt(state.deviation_sum_sq / len(state.poses))
     return float(np.clip(3.0 * sigma, 0.1 * DEFAULT_THRESHOLD, DEFAULT_THRESHOLD))
 
 
@@ -90,12 +89,12 @@ def register_scan(
     else:
         threshold = adaptive_threshold(state)
         sparse = downsample(voxelize(scan, grid.voxel_size))
-        grid.compute_normals()
+        normals, _ = grid.compute_normals()
         try:
             result = icp_point_to_plane(
                 sparse,
                 SpatialIndex(grid.means),
-                grid.normals,
+                normals,
                 prediction,
                 threshold,
                 ICP_MAX_ITERATIONS,
@@ -110,7 +109,6 @@ def register_scan(
             state.rejected.append(scan_index)
 
     deviation = float(np.linalg.norm((prediction.inverse() @ pose).translation))
-    state.deviation_count += 1
     state.deviation_sum_sq += deviation**2
     state.poses.append(pose)
     if accepted:

@@ -149,29 +149,21 @@ def two_level_grids(cloud: PointCloud, config: PipelineConfig) -> tuple[VoxelGri
 
 
 def coarse_features(coarse: VoxelGrid, config: PipelineConfig) -> tuple[PointCloud, np.ndarray]:
-    """Feature cloud for coarse matching: normal-bearing cell means + FPFH
-    within FPFH_SCALE * voxel_size_coarse.
+    """Feature cloud for coarse matching: the means of the strongly planar
+    cells with a normal, and their FPFH within FPFH_SCALE * voxel_size_coarse.
 
-    A normal's sign is arbitrary: the FPFH angles are folded so that a flip
-    of either normal of a pair changes no bit of a descriptor, so two grids of
-    the same scene need no shared orientation rule.
+    A cell is strongly planar when its smallest covariance eigenvalue is at
+    most _PLANARITY_RATIO times its largest: cells straddling surface edges
+    have normals that are unstable under re-voxelization. A normal's sign is
+    arbitrary: the folded FPFH angles give the same descriptor for either sign,
+    so two grids of the same scene need no shared orientation rule.
     """
-    coarse.compute_normals()
-    mask = coarse.has_normal.copy()
-    # keep only strongly planar cells: cells straddling surface edges have
-    # normals that are unstable under re-voxelization and only add noise
-    rows = np.flatnonzero(coarse.has_covariance)
-    if rows.size:
-        w = np.linalg.eigvalsh(coarse.covariances[rows])
-        planar = w[:, 0] <= _PLANARITY_RATIO * w[:, 2]
-        keep = np.zeros(len(coarse), dtype=bool)
-        keep[rows] = planar
-        mask &= keep
+    normals, w = coarse.compute_normals()
+    mask = normals.any(axis=1) & (w[:, 0] <= _PLANARITY_RATIO * w[:, 2])
     if int(mask.sum()) < 3:
         raise DataError("coarse grid has fewer than 3 cells with stable normals")
     points = coarse.means[mask]
-    normals = coarse.normals[mask]
-    descriptors = compute_fpfh(points, normals, FPFH_SCALE * config.voxel_size_coarse)
+    descriptors = compute_fpfh(points, normals[mask], FPFH_SCALE * config.voxel_size_coarse)
     return PointCloud(points), descriptors
 
 
@@ -197,7 +189,7 @@ def refine_scans(
     config: PipelineConfig,
 ) -> tuple[RegistrationResult, list[RegistrationResult]]:
     """Fine stage: point-to-plane ICP against the planar cells of the
-    reference fine grid, whose normals planar_cells estimates, in two steps.
+    reference fine grid (planar_cells), in two steps.
 
     First the combined cloud, rebuilt from the scans and their odometry poses
     and downsampled to REGISTRATION_SCALE * voxel_size_fine, is aligned once

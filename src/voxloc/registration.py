@@ -31,14 +31,14 @@ RANSAC_CONFIDENCE = 0.999      # stop once 1 - (1 - w^3)^k reaches this
 
 
 def planar_cells(grid: VoxelGrid) -> tuple[SpatialIndex, np.ndarray]:
-    """Estimate the grid's normals, then return an index over the means of the
-    cells that have one, and those normals: the target of icp_point_to_plane.
+    """An index over the means of the grid's cells with a non-zero normal, and
+    those normals: the target of icp_point_to_plane. The grid is only read.
     Build it once per reference grid."""
-    grid.compute_normals()
-    mask = grid.has_normal
+    normals, _ = grid.compute_normals()
+    mask = normals.any(axis=1)
     if not mask.any():
         raise ValueError("target grid has no cells with normals")
-    return SpatialIndex(grid.means[mask]), grid.normals[mask]
+    return SpatialIndex(grid.means[mask]), normals[mask]
 
 
 @dataclass
@@ -80,8 +80,8 @@ def estimate_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 
 
 def match_fpfh(source_desc: np.ndarray, target_desc: np.ndarray):
-    """Nearest target descriptor per source descriptor, ties to the lower
-    target index. Returns (target_indices, distances)."""
+    """Index of the nearest target descriptor per source descriptor, ties to
+    the lower target index."""
     s = np.asarray(source_desc, dtype=float)
     t = np.asarray(target_desc, dtype=float)
     if s.ndim != 2 or t.ndim != 2 or s.shape[1] != t.shape[1]:
@@ -90,9 +90,7 @@ def match_fpfh(source_desc: np.ndarray, target_desc: np.ndarray):
         raise ValueError("descriptor sets must be non-empty")
     # squared-distance expansion; argmin takes the first (lowest-index) minimum
     sq = (s * s).sum(axis=1)[:, None] + (t * t).sum(axis=1)[None, :] - 2.0 * (s @ t.T)
-    matches = np.argmin(sq, axis=1)
-    distances = np.linalg.norm(s - t[matches], axis=1)
-    return matches, distances
+    return np.argmin(sq, axis=1)
 
 
 def evaluate_alignment(
@@ -145,9 +143,9 @@ def ransac_coarse(
     if len(source_desc) != len(source) or len(target_desc) != len(target):
         raise ValueError("descriptors must align with their point clouds")
 
-    matches, _ = match_fpfh(source_desc, target_desc)
+    matches = match_fpfh(source_desc, target_desc)
     matched, slot = np.unique(matches, return_inverse=True)
-    back, _ = match_fpfh(target_desc[matched], source_desc)
+    back = match_fpfh(target_desc[matched], source_desc)
     kept = np.flatnonzero(back[slot] == np.arange(len(matches)))
     if len(kept) < 3:
         raise DataError(f"only {len(kept)} mutual descriptor matches")

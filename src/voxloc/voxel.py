@@ -2,9 +2,10 @@
 
 Cell keys are ``floor(coordinate / voxel_size)`` per axis with the grid origin
 at zero. Each occupied cell carries its point count, mean, sample covariance
-(count >= 3), an optional surface normal, and an optional mean color. A
-normal's sign is arbitrary: every consumer (point-to-plane ICP, the folded
-FPFH angles) gives the same result for either sign.
+(count >= 3) and an optional mean color, and nothing else: compute_normals
+returns the normals and eigenvalues it derives from them. A normal's sign is
+arbitrary: every consumer (point-to-plane ICP, the folded FPFH angles) gives
+the same result for either sign.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ class VoxelGrid:
         self._counts = np.empty(0, np.int64)
         self._sums = np.empty((0, 3))
         self._moments = np.empty((0, 6))
-        self._normals = np.empty((0, 3))
-        self._has_normal = np.empty(0, bool)
         self._color_sums: np.ndarray | None = None
 
     # -- container protocol -------------------------------------------------
@@ -69,14 +68,6 @@ class VoxelGrid:
         return self._counts >= 3
 
     @property
-    def normals(self) -> np.ndarray:
-        return self._normals
-
-    @property
-    def has_normal(self) -> np.ndarray:
-        return self._has_normal
-
-    @property
     def colors(self) -> np.ndarray | None:
         """Per-cell mean colors rounded to integers, or None."""
         if self._color_sums is None:
@@ -90,8 +81,7 @@ class VoxelGrid:
         cell become those of the union of its old and new points, so means and
         covariances match a voxelize of everything inserted.
 
-        Normals and colors are cleared for the whole grid; compute_normals
-        estimates the normals again from the merged covariances.
+        Colors are cleared for the whole grid.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -110,8 +100,6 @@ class VoxelGrid:
         merged = np.column_stack([np.bincount(inverse, weights=col, minlength=m) for col in both.T])
         self._counts = merged[:, 0].astype(np.int64)
         self._sums, self._moments = merged[:, 1:4], merged[:, 4:]
-        self._normals = np.zeros((m, 3))
-        self._has_normal = np.zeros(m, bool)
         self._color_sums = None
 
     def evict_outside(self, center: np.ndarray, radius: float) -> None:
@@ -126,30 +114,28 @@ class VoxelGrid:
         self._counts = self._counts[keep]
         self._sums = self._sums[keep]
         self._moments = self._moments[keep]
-        self._normals = self._normals[keep]
-        self._has_normal = self._has_normal[keep]
         if self._color_sums is not None:
             self._color_sums = self._color_sums[keep]
 
-    def compute_normals(self) -> None:
-        """Estimate the smallest-eigenvector normal of every cell that has a
-        covariance whose two smallest eigenvalues are at least EIGENGAP_TOL
-        apart; the others keep a zero normal. A normal keeps the sign eigh
-        gives it."""
-        self._normals = np.zeros((len(self), 3))
-        self._has_normal = np.zeros(len(self), bool)
+    def compute_normals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell, the smallest-eigenvector normal and the ascending
+        covariance eigenvalues, from one batched eigh: (normals, eigenvalues).
+
+        A normal is zero unless the cell has a covariance whose two smallest
+        eigenvalues are at least EIGENGAP_TOL apart, and keeps the sign eigh
+        gives it; a cell without a covariance has zero eigenvalues."""
+        normals = np.zeros((len(self), 3))
+        eigenvalues = np.zeros((len(self), 3))
         rows = np.flatnonzero(self.has_covariance)
         if rows.size == 0:
-            return
+            return normals, eigenvalues
         cov = _covariances(self._counts[rows], self._sums[rows], self._moments[rows])
         w, v = np.linalg.eigh(cov)
-        normals = v[:, :, 0]
-        norms = np.linalg.norm(normals, axis=1)
-        ok = norms > 0
-        normals = np.where(ok[:, None], normals / np.where(ok, norms, 1.0)[:, None], 0.0)
-        defined = ((w[:, 1] - w[:, 0]) >= EIGENGAP_TOL) & ok
-        self._normals[rows] = np.where(defined[:, None], normals, 0.0)
-        self._has_normal[rows] = defined
+        smallest = v[:, :, 0] / np.linalg.norm(v[:, :, 0], axis=1)[:, None]
+        defined = (w[:, 1] - w[:, 0]) >= EIGENGAP_TOL
+        normals[rows] = np.where(defined[:, None], smallest, 0.0)
+        eigenvalues[rows] = w
+        return normals, eigenvalues
 
 
 def _covariances(counts: np.ndarray, sums: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -221,7 +207,6 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
 
     grid._keys, grid._counts, grid._sums, grid._moments = ukeys, counts, sums, moments
     grid._color_sums = color_sums
-    grid._normals, grid._has_normal = np.zeros((m, 3)), np.zeros(m, bool)
     return grid
 
 

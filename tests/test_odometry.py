@@ -32,6 +32,13 @@ def _matrix(pose):
     return m
 
 
+def _state(scans, deviation_sum_sq):
+    """An odometry state that has seen `scans` scans."""
+    return OdometryState(
+        poses=[RigidTransform.identity()] * scans, deviation_sum_sq=deviation_sum_sq
+    )
+
+
 def _room_cloud(rng, n_ground=22000, n_wall=8000):
     """Ground plus two walls, every plane centered inside a 0.1 m cell layer
     so that no surface sits exactly on a voxel boundary."""
@@ -89,27 +96,26 @@ class TestAdaptiveThreshold:
         assert adaptive_threshold(OdometryState()) == DEFAULT_THRESHOLD
 
     def test_single_observation_still_returns_default(self):
-        state = OdometryState(deviation_count=1, deviation_sum_sq=25.0)
+        state = _state(1, deviation_sum_sq=25.0)
         assert adaptive_threshold(state) == DEFAULT_THRESHOLD
 
     def test_uniform_deviations_give_three_sigma(self):
         # four deviations of exactly 0.1 m: sigma = 0.1, threshold = 0.3
-        state = OdometryState(deviation_count=4, deviation_sum_sq=4 * 0.1**2)
+        state = _state(4, deviation_sum_sq=4 * 0.1**2)
         assert adaptive_threshold(state) == pytest.approx(0.3, abs=1e-15)
 
     def test_near_zero_deviations_clamp_to_lower_bound(self):
-        state = OdometryState(deviation_count=10, deviation_sum_sq=1e-20)
+        state = _state(10, deviation_sum_sq=1e-20)
         assert adaptive_threshold(state) == pytest.approx(0.1 * DEFAULT_THRESHOLD, abs=1e-15)
 
     def test_large_deviations_clamp_to_default(self):
-        state = OdometryState(deviation_count=3, deviation_sum_sq=300.0)
+        state = _state(3, deviation_sum_sq=300.0)
         assert adaptive_threshold(state) == DEFAULT_THRESHOLD
 
     def test_always_within_clamp_interval(self, rng):
         for _ in range(50):
-            state = OdometryState(
-                deviation_count=int(rng.integers(2, 40)),
-                deviation_sum_sq=float(rng.uniform(0.0, 100.0)),
+            state = _state(
+                int(rng.integers(2, 40)), deviation_sum_sq=float(rng.uniform(0.0, 100.0))
             )
             value = adaptive_threshold(state)
             assert 0.1 * DEFAULT_THRESHOLD <= value <= DEFAULT_THRESHOLD
@@ -135,7 +141,7 @@ class TestRegisterScan:
         for pose in state.poses:
             assert np.linalg.norm(pose.translation) < 1e-6
             assert Rotation.from_matrix(pose.rotation).magnitude() < 1e-6
-        assert state.deviation_count == 4
+        assert len(state.poses) == 4
         assert state.rejected == []
 
     def test_empty_scan_is_an_error(self, config):

@@ -32,7 +32,7 @@ from voxloc.pipeline import (
     write_synthetic_dataset,
 )
 from voxloc.synthetic import SceneSpec, generate_synthetic_scene
-from voxloc.registration import ICP_MAX_ITERATIONS
+from voxloc.registration import ICP_MAX_ITERATIONS, planar_cells
 from voxloc.transform import RigidTransform, Trajectory, rotation_exp
 from voxloc.voxel import VoxelGrid, downsample, voxelize
 
@@ -171,6 +171,21 @@ class TestCoarseFeatures:
         assert descriptors.shape == (len(cloud), 33)
         assert np.isfinite(descriptors).all()
         assert (descriptors >= 0.0).all()
+
+    def test_stages_only_read_their_grid(self, small_scene, config):
+        # coarse_features and planar_cells take their normals as returned
+        # values and change no array of the grid they are given
+        fine, coarse = two_level_grids(small_scene[0], config)
+        for grid, stage in ((coarse, lambda g: coarse_features(g, config)), (fine, planar_cells)):
+            before = {name: value.copy() for name, value in vars(grid).items()
+                      if isinstance(value, np.ndarray)}
+            assert "_color_sums" in before
+            stage(grid)
+            after = {name: value for name, value in vars(grid).items()
+                     if isinstance(value, np.ndarray)}
+            assert after.keys() == before.keys()
+            for name, value in before.items():
+                np.testing.assert_array_equal(after[name], value, err_msg=name)
 
     def test_too_small_grid_rejected(self, rng, config):
         coarse = voxelize(PointCloud(rng.normal(scale=0.1, size=(20, 3))),
@@ -650,6 +665,27 @@ class TestCli:
                    "--out-dir", "unused"])
         assert rc == 2
         assert "input-error" in capsys.readouterr().err
+
+    def test_parking_on_unlabelled_reference_exits_two(self, dataset, tmp_path, capsys):
+        reference = tmp_path / "unlabelled.ply"
+        write_ply(reference, PointCloud(read_ply(dataset["reference"]).points))
+        rc = main(["parking", "--reference", str(reference),
+                   "--update-cloud", str(dataset["reference"]),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "input-error" in err
+        assert str(reference) in err
+
+    def test_eval_on_empty_pose_files_exits_two(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        rc = main(["eval", "--est", str(empty), "--gt-poses", str(empty),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "input-error" in err
+        assert str(empty) in err
 
     def test_export_scene_embeds_spaces(self, dataset, tmp_path):
         park = tmp_path / "park"

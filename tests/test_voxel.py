@@ -4,11 +4,14 @@ Cells are read through the grid's columns; the per-cell oracle is a few lines
 of numpy over each cell's points.
 """
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxloc.cloud import PointCloud
-from voxloc.voxel import VoxelGrid, downsample, voxelize
+from voxloc.voxel import EIGENGAP_TOL, VoxelGrid, downsample, voxelize
 
 
 def _cov_two_pass(pts):
@@ -61,7 +64,8 @@ def _key_set(grid):
 
 def _in_cells(pts, size, keys):
     """Per point: whether its cell key is in the set keys."""
-    return np.array([tuple(k) in keys for k in np.floor(pts / size).astype(np.int64).tolist()])
+    cells = np.floor(pts / size).astype(np.int64).tolist()
+    return np.array([tuple(k) in keys for k in cells], dtype=bool)
 
 
 def _one_cell(pts, colors=None):
@@ -72,9 +76,8 @@ def _one_cell(pts, colors=None):
 
 
 def _cell_normal(pts):
-    grid = _one_cell(pts)
-    grid.compute_normals()
-    return grid.normals[0] if grid.has_normal[0] else None
+    normals, _ = _one_cell(pts).compute_normals()
+    return normals[0] if normals[0].any() else None
 
 
 _SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
@@ -224,24 +227,24 @@ class TestComputeNormals:
     def test_ground_plane_cells_point_up(self, rng):
         xy = rng.uniform(0.0, 4.0, size=(4000, 2))
         pts = np.column_stack([xy, np.zeros(len(xy))])
-        grid = voxelize(PointCloud(pts), 0.5)
-        grid.compute_normals()
-        assert grid.has_normal.sum() >= 50
-        for normal in grid.normals[grid.has_normal]:
+        normals, _ = voxelize(PointCloud(pts), 0.5).compute_normals()
+        has_normal = normals.any(axis=1)
+        assert has_normal.sum() >= 50
+        for normal in normals[has_normal]:
             _assert_normal(normal, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_matches_per_cell_estimate(self, rng):
         pts = rng.normal(size=(3000, 3)) * [3.0, 3.0, 0.2]
         grid = voxelize(PointCloud(pts), 0.8)
-        grid.compute_normals()
+        normals, _ = grid.compute_normals()
         groups = _keys_by_floor(pts, 0.8)
         for row, key in enumerate(grid.keys_array[:40].tolist()):
             single = _normal_oracle(pts[groups[tuple(key)]])
             if single is None:
-                assert not grid.has_normal[row]
+                assert not normals[row].any()
             else:
-                assert grid.has_normal[row]
-                _assert_normal(grid.normals[row], single, atol=1e-9)
+                assert normals[row].any()
+                _assert_normal(normals[row], single, atol=1e-9)
 
 
 class TestDownsample:
@@ -263,7 +266,66 @@ class TestDownsample:
         assert len(downsample(VoxelGrid(0.5))) == 0
 
 
+@st.composite
+def _insert_evict_cases(draw):
+    """(voxel size, a grid's points, points inserted into it, eviction
+    center, radius) in a 4 m box. Half the clouds lie on a 0.25 m lattice, so
+    points repeat and fall on cell boundaries, and half the radii lie within
+    0.1 % of a point's distance from the center, so cells sit near the sphere."""
+
+    def cloud():
+        shape = (draw(st.integers(0, 60)), 3)
+        if draw(st.booleans()):
+            return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 16))) * 0.25
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 4.0)))
+
+    size = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    base, extra = cloud(), cloud()
+    center = draw(hnp.arrays(np.float64, 3, elements=st.floats(0.0, 4.0)))
+    union = np.vstack([base, extra])
+    if len(union) and draw(st.booleans()):
+        point = union[draw(st.integers(0, len(union) - 1))]
+        radius = float(np.linalg.norm(point - center)) * draw(st.floats(0.999, 1.001))
+    else:
+        radius = draw(st.floats(0.0, 4.0))
+    return size, base, extra, center, radius
+
+
 class TestInsertEvict:
+    @pytest.mark.parametrize("offset", [np.zeros(3), np.array([5e5, 5e6, 300.0])])
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(case=_insert_evict_cases())
+    def test_insert_then_evict_equals_voxelize_of_survivors(self, offset, case):
+        size, base, extra, center, radius = case
+        base, extra, center = base + offset, extra + offset, center + offset
+        grid = voxelize(PointCloud(base), size)
+        grid.insert(extra)
+        grid.evict_outside(center, radius)
+        union = np.vstack([base, extra])
+        kept = _key_set(grid)
+        # one pass and merged sums round differently, so a mean may differ by
+        # an ulp of its coordinate (9.3e-10 m at 5e6 m) on top of 1e-12, and a
+        # cell within a few such errors of the sphere may go either way
+        tol = 1e-12 + 2.0 * float(np.spacing(np.abs(offset).max() + 4.0))
+        # evicted are the cells whose mean lies beyond the radius
+        whole = voxelize(PointCloud(union), size)
+        dist = np.linalg.norm(whole.means - center, axis=1)
+        keys = [tuple(key) for key in whole.keys_array.tolist()]
+        assert kept <= set(keys)
+        assert {k for k, d in zip(keys, dist) if d < radius - 4.0 * tol} <= kept
+        assert not {k for k, d in zip(keys, dist) if d > radius + 4.0 * tol} & kept
+
+        expected = voxelize(PointCloud(union[_in_cells(union, size, kept)]), size)
+        np.testing.assert_array_equal(grid.keys_array, expected.keys_array)
+        np.testing.assert_array_equal(grid.counts, expected.counts)
+        np.testing.assert_allclose(grid.means, expected.means, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(grid.covariances, expected.covariances, rtol=0.0, atol=1e-12)
+        normals, _ = grid.compute_normals()
+        expected_normals, w = expected.compute_normals()
+        # an eigenvector moves by about the covariance error over the eigengap
+        for row in np.flatnonzero(w[:, 1] - w[:, 0] > 1e6 * EIGENGAP_TOL):
+            _assert_normal(normals[row], expected_normals[row], atol=1e-8)
+
     def test_insert_merges_with_voxelize_of_union(self, rng):
         # keys, counts, means and covariances of an incremental grid match a
         # voxelize of the points it holds, also after an eviction and at a
@@ -289,20 +351,17 @@ class TestInsertEvict:
             )
 
     def test_insert_clears_derived_fields(self, rng):
-        # covariances are kept (they merge like the counts), normals and
-        # colors are cleared for the whole grid
+        # covariances are kept (they merge like the counts), colors are
+        # cleared for the whole grid
         pts = rng.uniform(0.0, 2.0, size=(500, 3))
         colors = rng.integers(0, 256, size=(500, 3), dtype=np.uint8)
         grid = voxelize(PointCloud(pts, colors), 0.5)
-        grid.compute_normals()
-        assert grid.has_normal.any()
+        assert grid.compute_normals()[0].any()
         extra = rng.uniform(0.0, 2.0, size=(10, 3))
         grid.insert(extra)
         union = voxelize(PointCloud(np.vstack([pts, extra])), 0.5)
         np.testing.assert_array_equal(grid.has_covariance, union.has_covariance)
         np.testing.assert_allclose(grid.covariances, union.covariances, rtol=0.0, atol=1e-12)
-        assert not grid.has_normal.any()
-        assert not grid.normals.any()
         assert grid.colors is None
 
     def test_insert_into_empty_grid(self, rng):
