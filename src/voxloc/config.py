@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -38,6 +39,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
             if not value > 0:
                 raise ConfigError(f"{name} must be strictly positive, got {value!r}")
             setattr(self, name, float(value))

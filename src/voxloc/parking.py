@@ -7,7 +7,6 @@ and Vacant by counting the car points that fall inside its box.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -18,13 +17,12 @@ import numpy as np
 from .cloud import PointCloud
 from .config import PipelineConfig
 from .errors import DegenerateGeometryError, ParseError
+from .spatial import SpatialIndex
 from .voxel import _group_keys
 
 CONTAINMENT_SLACK = 1e-9  # absolute slack on box boundaries, in meters
 _CELL_MARGIN = 1.0 - 1e-6  # keeps a cell's diagonal below distance despite rounding
 _BRUTE_CHUNK = 1 << 20  # point pairs compared at once when two cells are compared in full
-# the cell offsets after (0, 0, 0) in row-wise order: one side of the 5x5x5 stencil
-_HALF_STENCIL = [d for d in itertools.product(range(-2, 3), repeat=3) if d > (0, 0, 0)]
 
 
 class OccupancyState(Enum):
@@ -71,11 +69,12 @@ def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> li
     bucketed into cubes of edge a hair under distance/sqrt(3). A cube's
     diagonal is then shorter than distance, so all points of one cell are
     connected. Two neighbors lie at most two cells apart along each axis, so
-    the 5x5x5 stencil around a cell holds every neighbor of its points. Two
-    cells of one stencil are joined when their closest pair is within
-    distance: one representative pair is tried first, and both point sets are
-    compared in full only when it fails and the cells are not yet connected.
-    The clusters are therefore exactly those of a point-by-point search.
+    the candidate cell pairs are the keys at most 2*sqrt(3) apart (a
+    SpatialIndex query) that differ by at most two on every axis. Two
+    candidates are joined when their closest pair is within distance: one
+    representative pair is tried first, and both point sets are compared in
+    full only when it fails and the cells are not yet connected. The clusters
+    are therefore exactly those of a point-by-point search.
     """
     if not distance > 0:
         raise ValueError("distance must be strictly positive")
@@ -89,13 +88,16 @@ def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> li
     # Cells are keyed on coordinates relative to the cloud's corner, so the
     # rounding of the keys scales with the cloud's extent, not its position;
     # _CELL_MARGIN covers that rounding for extents up to about 1e9 cells.
+    # The keys are then small non-negative integers, exact in float64.
     cell = distance / np.sqrt(3.0) * _CELL_MARGIN
     keys, counts, inverse = _group_keys(np.floor((pts - pts.min(axis=0)) / cell).astype(np.int64))
     order = np.argsort(inverse, kind="stable")
     sorted_pts = pts[order]
     starts = np.cumsum(counts) - counts
 
-    first, second = _stencil_pairs(keys)
+    pairs, _ = SpatialIndex(keys.astype(np.float64)).pairs_within(2.0 * np.sqrt(3.0))
+    pairs = pairs[(np.abs(keys[pairs[:, 0]] - keys[pairs[:, 1]]) <= 2).all(axis=1)]
+    first, second = pairs[:, 0], pairs[:, 1]
     joined = _squared_gap(sorted_pts[starts[first]], sorted_pts[starts[second]]) <= limit
     labels = _components(len(keys), first[joined], second[joined])
     todo = ~joined & (labels[first] != labels[second])
@@ -117,27 +119,6 @@ def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> li
         for label in np.argsort(smallest, kind="stable")
         if sizes[label] >= min_points
     ]
-
-
-def _stencil_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b), a < b, of the occupied cells at most two apart per axis.
-
-    keys are sorted row-wise. They are packed into single integers with two
-    cells of padding per axis, so a stencil offset is one added constant.
-    """
-    lo = keys.min(axis=0)
-    spans = [int(v) + 5 for v in keys.max(axis=0) - lo]
-    dtype = np.int64 if float(spans[0]) * spans[1] * spans[2] < 2**62 else object
-    shifted = (keys - lo + 2).astype(dtype)
-    packed = (shifted[:, 0] * spans[1] + shifted[:, 1]) * spans[2] + shifted[:, 2]
-    first, second = [], []
-    for dx, dy, dz in _HALF_STENCIL:
-        target = packed + ((dx * spans[1] + dy) * spans[2] + dz)
-        pos = np.minimum(np.searchsorted(packed, target), len(packed) - 1)
-        hit = np.flatnonzero(packed[pos] == target)
-        first.append(hit)
-        second.append(pos[hit])
-    return np.concatenate(first), np.concatenate(second)
 
 
 def _squared_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,7 +284,8 @@ def save_spaces(path: str | Path, spaces: list[ParkingSpace]) -> None:
 
 def load_spaces(path: str | Path) -> list[ParkingSpace]:
     """Spaces as save_spaces writes them; ParseError when the text is not JSON
-    or an entry lacks a field or holds a value of the wrong kind or shape."""
+    or an entry lacks a field, holds a value of the wrong kind or shape, a
+    value that is not finite, or dims that are not positive."""
     spaces = []
     try:
         for entry in json.loads(Path(path).read_text()):
@@ -312,6 +294,8 @@ def load_spaces(path: str | Path) -> list[ParkingSpace]:
                 dims=np.array(entry["dims"], dtype=float).reshape(3),
                 yaw=float(entry["yaw"]),
             )
+            if not (np.isfinite([*box.centroid, *box.dims, box.yaw]).all() and (box.dims > 0).all()):
+                raise ValueError(f"space {entry['id']!r} has a non-finite value or non-positive dims")
             spaces.append(ParkingSpace(int(entry["id"]), box, OccupancyState(entry["state"])))
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed spaces file: {exc!r}") from exc

@@ -80,17 +80,12 @@ def estimate_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 
 
 def match_fpfh(source_desc: np.ndarray, target_desc: np.ndarray):
-    """Index of the nearest target descriptor per source descriptor, ties to
-    the lower target index."""
-    s = np.asarray(source_desc, dtype=float)
-    t = np.asarray(target_desc, dtype=float)
-    if s.ndim != 2 or t.ndim != 2 or s.shape[1] != t.shape[1]:
-        raise ValueError("descriptor sets must share their second dimension")
-    if len(s) == 0 or len(t) == 0:
+    """Index of the nearest target descriptor per source descriptor. Ties fall
+    to the k-d tree's order: the same target on every call, not necessarily
+    the lowest index."""
+    if len(source_desc) == 0 or len(target_desc) == 0:
         raise ValueError("descriptor sets must be non-empty")
-    # squared-distance expansion; argmin takes the first (lowest-index) minimum
-    sq = (s * s).sum(axis=1)[:, None] + (t * t).sum(axis=1)[None, :] - 2.0 * (s @ t.T)
-    return np.argmin(sq, axis=1)
+    return SpatialIndex(target_desc).nearest(source_desc)[0]
 
 
 def evaluate_alignment(
@@ -144,9 +139,8 @@ def ransac_coarse(
         raise ValueError("descriptors must align with their point clouds")
 
     matches = match_fpfh(source_desc, target_desc)
-    matched, slot = np.unique(matches, return_inverse=True)
-    back = match_fpfh(target_desc[matched], source_desc)
-    kept = np.flatnonzero(back[slot] == np.arange(len(matches)))
+    back = match_fpfh(target_desc, source_desc)
+    kept = np.flatnonzero(back[matches] == np.arange(len(matches)))
     if len(kept) < 3:
         raise DataError(f"only {len(kept)} mutual descriptor matches")
     src = source.points[kept]

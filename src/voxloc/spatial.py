@@ -1,8 +1,11 @@
 """Exact nearest-neighbor queries over points or descriptors.
 
-The index is dimension-generic (3-D positions, 33-D descriptors). A k-d tree
-answers batch nearest-neighbor lookups and lists every pair within a radius;
-pair distances are recomputed explicitly and the boundary is inclusive.
+The package's one neighbor search, dimension-generic (3-D positions, 33-D
+descriptors). A k-d tree answers batch nearest-neighbor lookups and lists
+every pair within a radius; pair distances are recomputed explicitly and the
+boundary is inclusive. Its callers: ICP and alignment scoring (registration,
+odometry), descriptor matching (registration.match_fpfh), FPFH neighborhoods
+(fpfh.compute_fpfh) and parking's cell adjacency (euclidean_cluster).
 """
 
 from __future__ import annotations

@@ -24,6 +24,10 @@ LABEL_CAR = 1
 LABEL_FACADE = 2
 LABEL_TREE = 3
 
+STREET_WIDTH = 12.0   # width of the street, in meters
+FACADE_HEIGHT = 8.0   # height of the closing wall, in meters
+SENSOR_HEIGHT = 1.8   # sensor above the ground, in meters
+
 _CAR_COLORS = np.array(
     [(178, 34, 34), (30, 100, 160), (200, 180, 60), (60, 140, 70),
      (150, 60, 150), (220, 130, 40), (90, 90, 200), (160, 160, 160)],
@@ -34,21 +38,17 @@ _CAR_COLORS = np.array(
 @dataclass
 class SceneSpec:
     street_length: float = 40.0
-    street_width: float = 12.0
-    facade_height: float = 8.0
     car_count: int = 8
     scan_count: int = 20
     points_per_scan: int = 8000
     noise_sigma: float = 0.02
     surface_density: float = 400.0  # reference points per square meter
     sensor_range: float = 18.0
-    sensor_height: float = 1.8
     scan_spacing: float = 0.5
     bend_degrees: float | None = None  # None draws 20-30 at random; 0 is straight
 
     def __post_init__(self):
-        for name in ("street_length", "street_width", "facade_height",
-                     "surface_density", "sensor_range", "sensor_height", "scan_spacing"):
+        for name in ("street_length", "surface_density", "sensor_range", "scan_spacing"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.car_count < 0:
@@ -339,10 +339,10 @@ def _place_cars(rng, length: float, width: float, count: int):
 def _street_segment(rng, spec: SceneSpec, length: float, car_count: int, closed_start: bool):
     """Parts of one straight street piece in its local frame (x in [0, length])."""
     density = spec.surface_density
-    half_w = spec.street_width / 2.0
+    half_w = STREET_WIDTH / 2.0
     parts: list[tuple[np.ndarray, int, np.ndarray]] = []
 
-    ground_w = spec.street_width + 8.0  # street plus the setback strips
+    ground_w = STREET_WIDTH + 8.0  # street plus the setback strips
     ground = _sample_rect(
         rng, (0.0, -ground_w / 2.0, 0.0), (length, 0.0, 0.0), (0.0, ground_w, 0.0), density
     )
@@ -362,13 +362,13 @@ def _street_segment(rng, spec: SceneSpec, length: float, car_count: int, closed_
             rng,
             (0.0, -ground_w / 2.0, 0.0),
             (0.0, ground_w, 0.0),
-            (0.0, 0.0, spec.facade_height),
+            (0.0, 0.0, FACADE_HEIGHT),
             density,
         )
         portal = _sample_box(
             rng,
-            (0.35, -0.18 * half_w, 0.3 * spec.facade_height),
-            (0.7, 0.36 * half_w, 0.6 * spec.facade_height),
+            (0.35, -0.18 * half_w, 0.3 * FACADE_HEIGHT),
+            (0.7, 0.36 * half_w, 0.6 * FACADE_HEIGHT),
             0.0,
             density,
         )
@@ -376,10 +376,10 @@ def _street_segment(rng, spec: SceneSpec, length: float, car_count: int, closed_
             (np.vstack([end_wall, portal]), LABEL_FACADE, np.array([110, 110, 128], np.uint8))
         )
 
-    placements = _place_cars(rng, length, spec.street_width, car_count)
+    placements = _place_cars(rng, length, STREET_WIDTH, car_count)
     cars = [_sample_box(rng, center, dims, yaw, density) for center, dims, yaw in placements]
     car_centers = [np.asarray(center) for center, _, _ in placements]
-    trees = _street_trees(rng, length, spec.street_width, car_centers, density)
+    trees = _street_trees(rng, length, STREET_WIDTH, car_centers, density)
     if trees:
         parts.append((np.vstack(trees), LABEL_TREE, np.array([58, 122, 58], np.uint8)))
     return parts, cars
@@ -422,7 +422,7 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
         parts.append((body, LABEL_CAR, _CAR_COLORS[i % len(_CAR_COLORS)]))
 
     # round corner tower on the outside of the bend
-    half_w = spec.street_width / 2.0
+    half_w = STREET_WIDTH / 2.0
     tower_r = rng.uniform(2.5, 3.5)
     tower_h = rng.uniform(10.0, 14.0)
     outer = -np.sign(bend) if bend != 0.0 else 1.0
@@ -457,7 +457,7 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
             heading = bend + wobble_yaw
         ch, sh = np.cos(heading), np.sin(heading)
         rotation = np.array([[ch, -sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
-        poses.append(RigidTransform(rotation, np.array([base_xy[0], base_xy[1], spec.sensor_height])))
+        poses.append(RigidTransform(rotation, np.array([base_xy[0], base_xy[1], SENSOR_HEIGHT])))
     trajectory = Trajectory(poses)
 
     scans = []

@@ -1,5 +1,6 @@
 """Point cloud and pose file round-trips, parse errors, config loading."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -370,3 +371,10 @@ def test_config_file_loading(tmp_path):
 def test_invalid_value_names_field():
     with pytest.raises(ConfigError, match="cluster_distance must be strictly positive"):
         parse_config({"cluster_distance": -1.5})
+
+
+@pytest.mark.parametrize("key", ["voxel_size_fine", "voxel_size_coarse", "cluster_distance"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_value_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config({key: value})

@@ -13,6 +13,7 @@ from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
 from voxloc.errors import DegenerateGeometryError, ParseError
 from voxloc.parking import (
+    _CELL_MARGIN,
     OccupancyState,
     OrientedBox,
     ParkingSpace,
@@ -186,6 +187,22 @@ class TestEuclideanCluster:
         points = np.array([[0.0, 0.0, 0.0], [corner] * 3]) + offset
         clusters = euclidean_cluster(PointCloud(points), distance, 1)
         assert [c.indices.tolist() for c in clusters] == [[0], [1]]
+
+    @pytest.mark.parametrize("offset", [np.zeros(3), _UTM_OFFSET])
+    def test_cells_two_apart_on_every_axis_join(self, offset):
+        # points 1 and 2 sit in cells two apart on every axis, the farthest
+        # cells that can hold neighbors, yet lie within distance; point 0
+        # only moves the cloud's corner, from which the cells are counted
+        distance = 0.5
+        cell = distance / math.sqrt(3.0) * _CELL_MARGIN
+        step = distance / math.sqrt(3.0) * (1.0 - 1e-7)
+        near = 11 * cell - (step - cell) / 2.0
+        points = np.array([[0.0] * 3, [near] * 3, [near + step] * 3]) + offset
+        keys = np.floor((points - points.min(axis=0)) / cell).astype(np.int64)
+        assert np.array_equal(keys[2] - keys[1], [2, 2, 2])
+        assert ((points[2] - points[1]) ** 2).sum() <= distance**2
+        clusters = euclidean_cluster(PointCloud(points), distance, 1)
+        assert [c.indices.tolist() for c in clusters] == [[0], [1, 2]]
 
     def test_clusters_ordered_by_smallest_index(self, rng):
         points = rng.uniform(0.0, 8.0, size=(150, 3))

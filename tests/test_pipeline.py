@@ -745,7 +745,15 @@ class TestCli:
         assert "input-error" not in capsys.readouterr().err
         assert not (out / "coarse_transform.txt").exists()
 
-    @pytest.mark.parametrize("text", ['[{"id": 0}]\n', "not json\n"])
+    @pytest.mark.parametrize("text", [
+        '[{"id": 0}]\n',
+        "not json\n",
+        # values json.loads accepts but a box cannot hold
+        '[{"id": 0, "centroid": [NaN, 0, 0], "dims": [4, 2, 1.5], "yaw": 0, "state": "vacant"}]\n',
+        '[{"id": 0, "centroid": [0, 0, 0], "dims": [Infinity, 2, 1.5], "yaw": 0, "state": "vacant"}]\n',
+        '[{"id": 0, "centroid": [0, 0, 0], "dims": [4, -2, 1.5], "yaw": 0, "state": "vacant"}]\n',
+        '[{"id": 0, "centroid": [0, 0, 0], "dims": [4, 2, 1.5], "yaw": NaN, "state": "vacant"}]\n',
+    ])
     @pytest.mark.parametrize("command", ["parking", "export-scene"])
     def test_malformed_spaces_file_exits_two(self, dataset, tmp_path, capsys, command, text):
         spaces = tmp_path / "spaces.json"
@@ -775,6 +783,15 @@ class TestCli:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "voxel_size_fien" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_two(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_text('{"voxel_size_fine": Infinity, "voxel_size_coarse": Infinity}\n')
+        rc = main(["export-scene", "--config", str(bad),
+                   "--reference", str(dataset["reference"]),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "voxel_size_fine must be finite" in capsys.readouterr().err
 
     def test_cli_import_leaves_graph_module_unloaded(self):
         # parking imports scipy.sparse.csgraph only when it clusters, and no
