@@ -19,6 +19,11 @@ descriptor. Normals therefore need no consistent orientation.
 
 Each angle is histogrammed into 11 uniform bins over its range, giving 33 bins
 total; the final descriptor re-weights neighbor histograms by inverse distance.
+
+Both points of a pair bin its angles. By the swap rule, i -> j and j -> i
+take the same source, target and direction, so each unordered pair is
+evaluated once, except a tie (``|n_i . d_hat| == |n_j . d_hat|``): there each
+order keeps its own source, and the angles agree only up to rounding.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ PARALLEL_TOL = 1e-9  # |d_hat x u| below this means the frame is undefined
 def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.ndarray):
     """Pair angles of each row of (p, n) against the same row of (pts, nrm).
 
-    Returns the folded (alpha, phi, theta, valid); invalid rows are coincident
-    points or pairs whose direction is parallel to the source normal.
+    Returns the folded (alpha, phi, theta, valid, tie); invalid rows are
+    coincident points or pairs whose direction is parallel to the source
+    normal, and tied rows have both normals equally aligned with it.
     """
     d = pts - p
     dist = np.sqrt((d * d).sum(axis=1))
@@ -48,6 +54,7 @@ def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.nd
     align_i = np.abs((dhat * n).sum(axis=1))
     align_j = np.abs((dhat * nrm).sum(axis=1))
     swap = align_i > align_j
+    tie = align_i == align_j
 
     u = np.where(swap[:, None], nrm, n)
     n_target = np.where(swap[:, None], n, nrm)
@@ -62,7 +69,21 @@ def _pair_angles_batch(p: np.ndarray, n: np.ndarray, pts: np.ndarray, nrm: np.nd
     alpha = np.minimum(np.abs((v * n_target).sum(axis=1)), 1.0)
     phi = np.minimum(np.abs((u * direction).sum(axis=1)), 1.0)
     theta = np.arctan2(np.abs((w * n_target).sum(axis=1)), np.abs((u * n_target).sum(axis=1)))
-    return alpha, phi, theta, valid
+    return alpha, phi, theta, valid, tie
+
+
+def _ordered_pair_angles(points: np.ndarray, normals: np.ndarray, first: np.ndarray,
+                         second: np.ndarray):
+    """Folded (alpha, phi, theta, valid) of the rows first -> second, then
+    second -> first: one evaluation per pair, two per tied pair."""
+    forward = _pair_angles_batch(points[first], normals[first], points[second], normals[second])
+    tied = np.flatnonzero(forward[4])
+    i, j = first[tied], second[tied]
+    reverse = _pair_angles_batch(points[j], normals[j], points[i], normals[i])
+    both = tuple(np.concatenate([f, f]) for f in forward[:4])
+    for out, back in zip(both, reverse):
+        out[len(first) + tied] = back
+    return both
 
 
 def _bin_indices(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -95,9 +116,7 @@ def compute_fpfh(points: np.ndarray, normals: np.ndarray, radius: float) -> np.n
 
     spfh_all = np.zeros((n, DESCRIPTOR_SIZE))
     if len(src):
-        alpha, phi, theta, valid = _pair_angles_batch(
-            points[src], normals[src], points[nbr], normals[nbr]
-        )
+        alpha, phi, theta, valid = _ordered_pair_angles(points, normals, pairs[:, 0], pairs[:, 1])
         rows = src[valid]
         kept = np.bincount(rows, minlength=n).astype(float)
         base = rows * DESCRIPTOR_SIZE

@@ -17,6 +17,7 @@ from .cloud import PointCloud
 EIGENGAP_TOL = 1e-12  # below this the normal direction is ill-defined
 
 _COV_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_EIGEN_CHUNK = 8192  # cells per compute_normals batch: its temporaries stay in cache
 
 
 class VoxelGrid:
@@ -61,7 +62,8 @@ class VoxelGrid:
 
     @property
     def covariances(self) -> np.ndarray:
-        return _covariances(self._counts, self._sums, self._moments)
+        flat = _covariance_columns(self._counts, self._sums, self._moments)
+        return flat[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(-1, 3, 3)  # the 3x3 entries, row-major
 
     @property
     def has_covariance(self) -> np.ndarray:
@@ -119,35 +121,92 @@ class VoxelGrid:
 
     def compute_normals(self) -> tuple[np.ndarray, np.ndarray]:
         """Per cell, the smallest-eigenvector normal and the ascending
-        covariance eigenvalues, from one batched eigh: (normals, eigenvalues).
+        covariance eigenvalues (_symmetric_eigen3): (normals, eigenvalues).
 
         A normal is zero unless the cell has a covariance whose two smallest
-        eigenvalues are at least EIGENGAP_TOL apart, and keeps the sign eigh
-        gives it; a cell without a covariance has zero eigenvalues."""
+        eigenvalues are at least EIGENGAP_TOL apart, and its sign is
+        arbitrary; a cell without a covariance has zero eigenvalues."""
         normals = np.zeros((len(self), 3))
         eigenvalues = np.zeros((len(self), 3))
         rows = np.flatnonzero(self.has_covariance)
-        if rows.size == 0:
-            return normals, eigenvalues
-        cov = _covariances(self._counts[rows], self._sums[rows], self._moments[rows])
-        w, v = np.linalg.eigh(cov)
-        smallest = v[:, :, 0] / np.linalg.norm(v[:, :, 0], axis=1)[:, None]
-        defined = (w[:, 1] - w[:, 0]) >= EIGENGAP_TOL
-        normals[rows] = np.where(defined[:, None], smallest, 0.0)
-        eigenvalues[rows] = w
+        for start in range(0, rows.size, _EIGEN_CHUNK):
+            chunk = rows[start:start + _EIGEN_CHUNK]
+            flat = _covariance_columns(self._counts[chunk], self._sums[chunk], self._moments[chunk])
+            w, smallest = _symmetric_eigen3(flat)
+            defined = (w[1] - w[0]) >= EIGENGAP_TOL
+            normals[chunk] = np.where(defined, smallest, 0.0).T
+            eigenvalues[chunk] = w.T
         return normals, eigenvalues
 
 
-def _covariances(counts: np.ndarray, sums: np.ndarray, moments: np.ndarray) -> np.ndarray:
+def _covariance_columns(counts: np.ndarray, sums: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """Sample covariances (M - S Sᵀ / n) / (n - 1) from point counts, sums S
-    and second moments M; a cell of one point gets zeros."""
-    products = np.column_stack([sums[:, a] * sums[:, b] for a, b in _COV_PAIRS])
-    flat = moments - products / counts[:, None]
-    flat /= np.maximum(counts - 1, 1)[:, None]
-    cov = np.empty((len(counts), 3, 3))
-    for col, (a, b) in enumerate(_COV_PAIRS):
-        cov[:, a, b] = cov[:, b, a] = flat[:, col]
-    return cov
+    and second moments M, as six rows in _COV_PAIRS order, one column per
+    cell; a cell of one point gets zeros."""
+    dof = np.maximum(counts - 1, 1)
+    return np.array([(moments[:, col] - sums[:, a] * sums[:, b] / counts) / dof
+                     for col, (a, b) in enumerate(_COV_PAIRS)])
+
+
+def _symmetric_eigen3(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues (3, N) and the smallest one's unit eigenvector
+    (3, N) of symmetric 3x3 matrices given as six rows in _COV_PAIRS order.
+    Eberly's robust solver: the trigonometric formula, inaccurate near a
+    double root, gives only the eigenvalue farthest from the other two; its
+    eigenvector is the longest cross product of two rows of A - lambda I, and
+    the other two eigenpairs are those of A on that vector's complement, 2x2."""
+    a00, a01, a02, a11, a12, a22 = flat
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    # the eigenvalues of B = (A - qI) / p are 2 cos(angle + 2 pi k / 3)
+    inv_p = 1.0 / np.where(p > 0.0, p, 1.0)
+    c00, c01, c02, c11, c12, c22 = (x * inv_p for x in (b00, a01, a02, b11, a12, b22))
+    half_det = 0.5 * (c00 * (c11 * c22 - c12 * c12) - c01 * (c01 * c22 - c12 * c02)
+                      + c02 * (c01 * c12 - c11 * c02))
+    angle = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    top = half_det >= 0.0  # then the largest eigenvalue is the isolated one, else the smallest
+    angle[~top] += 2.0 * np.pi / 3.0
+    isolated = q + 2.0 * p * np.cos(angle)
+
+    d0, d1, d2 = a00 - isolated, a11 - isolated, a22 - isolated
+    crosses = np.array([  # rows 0 x 1, 0 x 2 and 1 x 2 of A - isolated I
+        [a01 * a12 - a02 * d1, a02 * a01 - d0 * a12, d0 * d1 - a01 * a01],
+        [a01 * d2 - a02 * a12, a02 * a02 - d0 * d2, d0 * a12 - a01 * a02],
+        [d1 * d2 - a12 * a12, a12 * a02 - a01 * d2, a01 * a12 - d1 * a02],
+    ])
+    lengths = (crosses * crosses).sum(axis=1)
+    pick, longest = lengths.argmax(axis=0), lengths.max(axis=0)
+    zero = longest == 0.0  # only at a triple root: any axis will do
+    w0, w1, w2 = (np.take_along_axis(crosses, pick[None, None], axis=0)[0]
+                  / np.sqrt(np.where(zero, 1.0, longest)))
+    w0[zero] = 1.0
+
+    # an orthonormal basis (u, v) of the plane orthogonal to w
+    x_first = np.abs(w0) > np.abs(w1)
+    inv_u = 1.0 / np.sqrt(np.where(x_first, w0 * w0, w1 * w1) + w2 * w2)
+    u = np.array([np.where(x_first, -w2, 0.0), np.where(x_first, 0.0, w2),
+                  np.where(x_first, w0, -w1)]) * inv_u
+    v = np.array([w1 * u[2] - w2 * u[1], w2 * u[0] - w0 * u[2], w0 * u[1] - w1 * u[0]])
+    a = np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
+    au, av = (a * u).sum(axis=1), (a * v).sum(axis=1)
+    m00, m01, m11 = (u * au).sum(axis=0), (v * au).sum(axis=0), (v * av).sum(axis=0)
+    half, mid = 0.5 * (m00 - m11), 0.5 * (m00 + m11)
+    radius = np.hypot(half, m01)
+    low, high = mid - radius, mid + radius
+    # low's eigenvector in (u, v): orthogonal to the longer row of
+    # [[half + radius, m01], [m01, radius - half]]
+    upper = half >= 0.0
+    cu, cv = np.where(upper, -m01, radius - half), np.where(upper, half + radius, -m01)
+    size = np.hypot(cu, cv)
+    zero = size == 0.0  # only at a double root: any direction will do
+    cu, cv = np.array([cu, cv]) / np.where(zero, 1.0, size)
+    cu[zero] = 1.0
+
+    eigenvalues = np.where(top, [low, high, np.maximum(isolated, high)],
+                           [np.minimum(isolated, low), low, high])
+    smallest = np.where(top, cu * u + cv * v, [w0, w1, w2])
+    return eigenvalues, smallest
 
 
 def _group_keys(keys: np.ndarray):
@@ -157,11 +216,11 @@ def _group_keys(keys: np.ndarray):
     Keys are packed into single integers so the dedup runs on a 1-D array;
     packing is monotone in lexicographic key order, so the output ordering
     matches a row-wise unique."""
-    lo = keys.min(axis=0)
-    shifted = keys - lo
-    spans = shifted.max(axis=0) + 1
+    cols = keys.T
+    lo = np.array([col.min() for col in cols])
+    spans = np.array([col.max() for col in cols]) - lo + 1
     if float(spans[0]) * float(spans[1]) * float(spans[2]) < 2**62:
-        packed = (shifted[:, 0] * spans[1] + shifted[:, 1]) * spans[2] + shifted[:, 2]
+        packed = ((cols[0] - lo[0]) * spans[1] + (cols[1] - lo[1])) * spans[2] + (cols[2] - lo[2])
         upacked, inverse, counts = np.unique(packed, return_inverse=True, return_counts=True)
         kz = upacked % spans[2]
         rest = upacked // spans[2]
@@ -175,16 +234,16 @@ def _group_points(pts: np.ndarray, voxel_size: float):
     """Group points by voxel key: (keys, counts, sums, moments, inverse), keys
     sorted; sums and second moments (_COV_PAIRS order) are of the points
     relative to their voxel's corner."""
-    point_keys = np.floor(pts / voxel_size).astype(np.int64)
-    ukeys, counts, inverse = _group_keys(point_keys)
-    local = pts - point_keys * voxel_size
+    corners = pts / voxel_size
+    np.floor(corners, out=corners)
+    ukeys, counts, inverse = _group_keys(corners.astype(np.int64))
+    # the floored floats are the keys exactly, so this is pts - keys * voxel_size
+    corners *= voxel_size
+    local = [pts[:, a] - corners[:, a] for a in range(3)]
     m = len(ukeys)
-    sums = np.column_stack(
-        [np.bincount(inverse, weights=local[:, a], minlength=m) for a in range(3)]
-    )
+    sums = np.column_stack([np.bincount(inverse, weights=x, minlength=m) for x in local])
     moments = np.column_stack(
-        [np.bincount(inverse, weights=local[:, a] * local[:, b], minlength=m)
-         for a, b in _COV_PAIRS]
+        [np.bincount(inverse, weights=local[a] * local[b], minlength=m) for a, b in _COV_PAIRS]
     )
     return ukeys, counts, sums, moments, inverse
 
@@ -200,9 +259,9 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     m = len(ukeys)
     color_sums = None
     if cloud.colors is not None:
-        c = cloud.colors.astype(float)
+        # bincount casts each colour column to float on its own
         color_sums = np.column_stack(
-            [np.bincount(inverse, weights=c[:, a], minlength=m) for a in range(3)]
+            [np.bincount(inverse, weights=cloud.colors[:, a], minlength=m) for a in range(3)]
         )
 
     grid._keys, grid._counts, grid._sums, grid._moments = ukeys, counts, sums, moments

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxloc.fpfh import BINS_PER_FEATURE, DESCRIPTOR_SIZE, _pair_angles_batch, compute_fpfh
+from voxloc.fpfh import (
+    BINS_PER_FEATURE,
+    DESCRIPTOR_SIZE,
+    _ordered_pair_angles,
+    _pair_angles_batch,
+    compute_fpfh,
+)
+from voxloc.spatial import SpatialIndex
 from voxloc.transform import rotation_exp
 
 
@@ -89,7 +96,7 @@ def _random_oriented_cloud(rng, n, scale=2.0):
 def _angles(p_i, n_i, p_j, n_j):
     """_pair_angles_batch on a single pair: (alpha, phi, theta, valid)."""
     rows = [np.asarray(v, dtype=float).reshape(1, 3) for v in (p_i, n_i, p_j, n_j)]
-    return tuple(out[0] for out in _pair_angles_batch(*rows))
+    return tuple(out[0] for out in _pair_angles_batch(*rows)[:4])
 
 
 def _random_pairs(rng, n):
@@ -136,14 +143,14 @@ class TestPairAngles:
 
     def test_matches_scalar_oracle(self, rng):
         p_i, n_i, p_j, n_j = _random_pairs(rng, 200)
-        alpha, phi, theta, valid = _pair_angles_batch(p_i, n_i, p_j, n_j)
+        alpha, phi, theta, valid, _ = _pair_angles_batch(p_i, n_i, p_j, n_j)
         assert valid.all()
         for row in range(200):
             want = _angles_oracle(p_i[row], n_i[row], p_j[row], n_j[row])
             np.testing.assert_allclose((alpha[row], phi[row], theta[row]), want, atol=1e-12)
 
     def test_ranges(self, rng):
-        alpha, phi, theta, valid = _pair_angles_batch(*_random_pairs(rng, 300))
+        alpha, phi, theta, valid, _ = _pair_angles_batch(*_random_pairs(rng, 300))
         assert valid.all()
         assert ((0.0 <= alpha) & (alpha <= 1.0)).all()
         assert ((0.0 <= phi) & (phi <= 1.0)).all()
@@ -155,6 +162,28 @@ class TestPairAngles:
         backward = _pair_angles_batch(p_j, n_j, p_i, n_i)
         for a, b in zip(forward[:3], backward[:3]):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("cloud", ["equal-normals", "lattice", "random-normals"])
+    def test_one_pass_per_pair_is_bitwise_both_orders(self, rng, cloud):
+        # compute_fpfh's angles against evaluating every pair in both orders:
+        # with equal normals every pair ties; on a lattice with 3-4-5 normals
+        # many pairs tie with different normals, and the two orders round
+        # differently
+        points, normals = _random_oriented_cloud(rng, 150)
+        if cloud == "equal-normals":
+            normals[:] = [0.6, 0.0, 0.8]
+        elif cloud == "lattice":
+            points = rng.integers(-3, 4, size=(150, 3)) * 0.5
+            normals = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8], [0.8, 0.0, 0.6]])[
+                rng.integers(0, 3, size=150)
+            ]
+        pairs, _ = SpatialIndex(points).pairs_within(1.5)
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        nbr = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        expected = _pair_angles_batch(points[src], normals[src], points[nbr], normals[nbr])
+        got = _ordered_pair_angles(points, normals, pairs[:, 0], pairs[:, 1])
+        for out, want in zip(got, expected[:4]):
+            assert np.array_equal(out, want)
 
     def test_coincident_points_are_invalid(self):
         assert not _angles((1, 2, 3), _UP, (1, 2, 3), _UP)[3]

@@ -80,6 +80,56 @@ def _cell_normal(pts):
     return normals[0] if normals[0].any() else None
 
 
+_OFFSETS = [np.zeros(3), np.array([5e5, 5e6, 300.0])]
+
+
+@st.composite
+def _shifted_cells(draw):
+    """(voxel size, points, shift in whole cells): points at the origin or
+    at a georeferenced offset, each at least 1e-6 of a cell away from every
+    cell boundary, so that rounding cannot move one into another cell."""
+    size = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    n = draw(st.integers(1, 60))
+    cells = draw(hnp.arrays(np.int64, (n, 3), elements=st.integers(-6, 6)))
+    within = draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(1e-6, 1.0 - 1e-6)))
+    offset = _OFFSETS[draw(st.integers(0, 1))]
+    shift = draw(hnp.arrays(np.int64, 3, elements=st.integers(-1000, 1000)))
+    return size, (cells + within) * size + offset, shift
+
+
+def _frame(draw):
+    """A rotation drawn as the Q factor of a well-conditioned matrix."""
+    perturbation = draw(hnp.arrays(np.float64, (3, 3), elements=st.floats(-1.0, 1.0)))
+    q, _ = np.linalg.qr(3.0 * np.eye(3) + perturbation)
+    return q
+
+
+@st.composite
+def _cell_clouds(draw):
+    """Points around the centre of the 4 m cell at the origin, turned by a
+    random rotation: a noisy plane, a noisy line, an isotropic cross,
+    coincident points or an anisotropic random blob."""
+    kind = draw(st.sampled_from(["plane", "line", "isotropic", "coincident", "blob"]))
+    n = draw(st.integers(3, 40))
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.05]))
+
+    def coords(shape, bound=1.5):
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(-bound, bound)))
+
+    if kind == "plane":
+        local = np.column_stack([coords((n, 2)), noise * coords((n, 1), 1.0)])
+    elif kind == "line":
+        local = np.column_stack([coords((n, 1)), noise * coords((n, 2), 1.0)])
+    elif kind == "isotropic":
+        scale = draw(st.floats(1e-3, 1.5))
+        local = scale * np.vstack([np.eye(3), -np.eye(3)]) + noise * coords((6, 3), 1.0)
+    elif kind == "coincident":
+        local = np.repeat(coords((1, 3)), n, axis=0) + noise * coords((n, 3), 1.0)
+    else:
+        local = coords((n, 3)) * draw(hnp.arrays(np.float64, 3, elements=st.floats(0.0, 1.0)))
+    return local @ _frame(draw).T + 2.0
+
+
 _SQUARE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
 
@@ -140,6 +190,37 @@ class TestEstimateNormal:
 
     def test_missing_covariance_has_no_normal(self):
         assert _cell_normal(np.zeros((2, 3))) is None
+
+    @pytest.mark.parametrize(
+        "pts, expected",
+        [
+            (np.full((4, 3), 50.25), None),  # coincident: a zero covariance
+            (50.0 + np.vstack([np.eye(3), -np.eye(3)]), None),  # isotropic: 0.4 I exactly
+            ([[50.0, 50.0, 50.0], [51.0, 51.0, 51.0], [52.0, 52.0, 52.0]], None),  # a line
+            ([[10.0, 20.0, 30.0], [11.0, 20.0, 30.0], [13.0, 20.0, 30.0]], None),  # an axis line
+            (  # the plane x + y = 100
+                [[50.0, 50.0, 1.0], [51.0, 49.0, 5.0], [53.0, 47.0, 2.0], [52.0, 48.0, 7.0]],
+                np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+            ),
+            ([[50.0, 50.0, 50.0], [51.0, 52.0, 53.0]], None),  # two points: no covariance
+        ],
+        ids=["coincident", "isotropic", "diagonal-line", "axis-line", "tilted-plane", "two-points"],
+    )
+    def test_exact_cells_decide_as_eigh(self, pts, expected):
+        # the closed form divides by the spread of the eigenvalues and by
+        # cross-product lengths: degenerate cells must still decide as eigh does
+        grid = _one_cell(pts)
+        normals, w = grid.compute_normals()
+        if grid.has_covariance[0]:
+            expected_w, _ = np.linalg.eigh(grid.covariances[0])
+            np.testing.assert_allclose(w[0], expected_w, rtol=0.0, atol=1e-12 * expected_w[2])
+            assert normals[0].any() == (expected_w[1] - expected_w[0] >= EIGENGAP_TOL)
+        else:
+            assert not w.any()
+        if expected is None:
+            assert not normals.any()
+        else:
+            _assert_normal(normals[0], expected, atol=1e-12)
 
     def test_orthogonal_to_tilted_plane(self, rng):
         # random planes: the normal must be unit and orthogonal to the span
@@ -202,14 +283,19 @@ class TestVoxelize:
                 grid.colors[row], np.rint(colors[idx].mean(axis=0)).astype(np.uint8)
             )
 
-    def test_translation_equivariance_on_cell_multiples(self, rng):
-        size = 0.25
-        shift_cells = np.array([2, -3, 5])
-        pts = rng.uniform(0.0, 3.0, size=(500, 3))
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(case=_shifted_cells())
+    def test_translation_equivariance_on_cell_multiples(self, case):
+        # a shift by whole cells moves every key by exactly that many cells
+        # and keeps the counts; the means move with it, up to the rounding of
+        # a coordinate (two ulps, 1.9e-9 m at 5e6 m) on top of 1e-12
+        size, pts, shift = case
         base = voxelize(PointCloud(pts), size)
-        moved = voxelize(PointCloud(pts + shift_cells * size), size)
-        np.testing.assert_array_equal(moved.keys_array, base.keys_array + shift_cells)
-        np.testing.assert_allclose(moved.means, base.means + shift_cells * size, atol=1e-9)
+        moved = voxelize(PointCloud(pts + shift * size), size)
+        np.testing.assert_array_equal(moved.keys_array, base.keys_array + shift)
+        np.testing.assert_array_equal(moved.counts, base.counts)
+        tol = 1e-12 + 2.0 * float(np.spacing(np.abs(pts).max() + np.abs(shift * size).max()))
+        np.testing.assert_allclose(moved.means, base.means + shift * size, rtol=0.0, atol=tol)
 
     def test_empty_cloud(self):
         grid = voxelize(PointCloud(np.empty((0, 3))), 0.5)
@@ -245,6 +331,35 @@ class TestComputeNormals:
             else:
                 assert normals[row].any()
                 _assert_normal(normals[row], single, atol=1e-9)
+
+
+class TestSolverProperty:
+    @pytest.mark.parametrize("offset", _OFFSETS)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(local=_cell_clouds())
+    def test_compute_normals_agrees_with_eigh(self, offset, local):
+        # with l2 the largest eigenvalue: eigenvalues within 1e-12 * l2; a
+        # normal within 1e-12 over the relative gap (l1 - l0) / l2 where that
+        # is at least 1e-6; the same "defined" decision unless eigh's gap lies
+        # within 1e-15 * l2 of EIGENGAP_TOL
+        grid = voxelize(PointCloud(local + offset), 4.0)
+        normals, w = grid.compute_normals()
+        rows = np.flatnonzero(grid.has_covariance)
+        assert not normals[~grid.has_covariance].any()
+        assert not w[~grid.has_covariance].any()
+        expected_w, v = np.linalg.eigh(grid.covariances[rows])
+        largest = np.abs(expected_w).max(axis=1)
+        assert (np.diff(w[rows], axis=1) >= 0.0).all()
+        assert (np.abs(w[rows] - expected_w) <= 1e-12 * largest[:, None]).all()
+        gap = expected_w[:, 1] - expected_w[:, 0]
+        defined = normals[rows].any(axis=1)
+        undecided = np.abs(gap - EIGENGAP_TOL) <= 1e-15 * largest
+        assert ((defined == (gap >= EIGENGAP_TOL)) | undecided).all()
+        for k in np.flatnonzero(defined):
+            assert abs(np.linalg.norm(normals[rows[k]]) - 1.0) < 1e-14
+            relative_gap = gap[k] / largest[k]
+            if relative_gap >= 1e-6:
+                _assert_normal(normals[rows[k]], v[k, :, 0], atol=1e-12 / relative_gap)
 
 
 class TestDownsample:
