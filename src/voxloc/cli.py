@@ -8,7 +8,10 @@ poses) once from the coarse transform, then refines every scan from that
 alignment; it prints the whole-cloud step's fitness.
 `parking`, `eval`, `export-scene` and `synth` cover occupancy updates, pose
 scoring, the coarse-grid scene (with optional parking boxes) and synthetic
-data.
+data. Every command names its files by pipeline.OUTPUT_FILES, so the stage
+commands, `eval`, `parking --reference R --update-cloud R` and
+`export-scene --spaces` chained in one directory reproduce every file of a
+`pipeline` run but its manifest.
 
 Every command reads its inputs through pipeline.load_input and load_scans,
 as run_pipeline does, and exits by the same rule: 0 on success, 2 on a
@@ -23,20 +26,14 @@ import sys
 from pathlib import Path
 
 from .config import PipelineConfig, load_config
-from .evaluation import (
-    XY_BIN_WIDTH,
-    Z_BIN_WIDTH,
-    error_histogram,
-    evaluate_trajectory,
-    write_errors_csv,
-    write_histogram_csv,
-)
+from .evaluation import PoseErrors, evaluate_trajectory
 from .io import read_ply, read_poses, write_ply, write_poses
 from .odometry import combine_scans
 from .parking import extract_class, load_spaces, save_spaces, spaces_from_reference, update_occupancy
 from .pipeline import (
     EXIT_INPUT_ERROR,
     EXIT_STAGE_ERROR,
+    OUTPUT_FILES,
     PipelineInputError,
     PipelineRun,
     coarse_align,
@@ -46,10 +43,12 @@ from .pipeline import (
     refine_scans,
     run_pipeline,
     two_level_grids,
+    write_evaluation,
     write_synthetic_dataset,
 )
 from .synthetic import SceneSpec
 from .transform import Trajectory
+from .voxel import voxelize
 
 
 def _resolve_config(args) -> PipelineConfig:
@@ -84,11 +83,11 @@ def _cmd_odometry(args) -> int:
     scans = load_scans(args.scans)
     combined, trajectory = combine_scans(scans, config)
     out = _out_dir(args)
-    write_ply(out / "combined.ply", combined)
-    write_poses(out / "odometry_poses.txt", trajectory)
+    write_ply(out / OUTPUT_FILES["combined_cloud"], combined)
+    write_poses(out / OUTPUT_FILES["odometry_poses"], trajectory)
     print(f"combined {len(scans)} scans, {len(combined)} points")
-    print(f"combined cloud: {out / 'combined.ply'}")
-    print(f"poses: {out / 'odometry_poses.txt'}")
+    print(f"combined cloud: {out / OUTPUT_FILES['combined_cloud']}")
+    print(f"poses: {out / OUTPUT_FILES['odometry_poses']}")
     return 0
 
 
@@ -98,7 +97,7 @@ def _cmd_coarse(args) -> int:
     combined = load_input(read_ply, args.combined, "combined cloud")
     _, reference_coarse = two_level_grids(reference, config)
     result = coarse_align(reference_coarse, combined, config, args.seed)
-    out = _out_dir(args) / "coarse_transform.txt"
+    out = _out_dir(args) / OUTPUT_FILES["coarse_transform"]
     write_poses(out, Trajectory([result.transform]))
     print(f"fitness: {result.fitness:.6f}")
     print(f"inlier_rmse: {result.inlier_rmse:.6f}")
@@ -117,14 +116,20 @@ def _cmd_fine(args) -> int:
         raise PipelineInputError(f"{len(odometry_poses)} poses for {len(scans)} scans")
     if len(coarse_list) != 1:
         raise PipelineInputError("coarse transform file must hold exactly one pose")
-    fine_grid, _ = two_level_grids(reference, config)
+    fine_grid = voxelize(reference, config.voxel_size_fine)
     whole, results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
-    out = _out_dir(args) / "refined_poses.txt"
+    out = _out_dir(args) / OUTPUT_FILES["refined_poses"]
     write_poses(out, Trajectory([result.transform for result in results]))
     print(f"whole_cloud_fitness: {whole.fitness:.6f}")
     print(f"refined {len(results)} poses")
     print(f"poses: {out}")
     return 0
+
+
+def _print_errors(errors: PoseErrors) -> None:
+    print(f"mean_xy_error: {float(errors.xy.mean()):.6f}")
+    print(f"max_xy_error: {float(errors.xy.max()):.6f}")
+    print(f"mean_z_error: {float(errors.z.mean()):.6f}")
 
 
 def _cmd_pipeline(args) -> int:
@@ -144,9 +149,7 @@ def _cmd_pipeline(args) -> int:
     for name, path in sorted(result.artifacts.items()):
         print(f"{name}: {path}")
     if result.errors is not None:
-        print(f"mean_xy_error: {float(result.errors.xy.mean()):.6f}")
-        print(f"max_xy_error: {float(result.errors.xy.max()):.6f}")
-        print(f"mean_z_error: {float(result.errors.z.mean()):.6f}")
+        _print_errors(result.errors)
     return 0
 
 
@@ -168,7 +171,7 @@ def _cmd_parking(args) -> int:
     else:
         car_points = update.points
     updated = update_occupancy(spaces, car_points, config.occupancy_min_points)
-    out = _out_dir(args) / "spaces.json"
+    out = _out_dir(args) / OUTPUT_FILES["spaces"]
     save_spaces(out, updated)
     occupied = sum(1 for s in updated if s.state.value == "occupied")
     print(f"spaces: {len(updated)}")
@@ -189,14 +192,9 @@ def _cmd_eval(args) -> int:
     if len(estimated) == 0:
         raise PipelineInputError(f"poses {args.est} and {args.gt_poses} are empty")
     errors = evaluate_trajectory(estimated, ground_truth)
-    out = _out_dir(args)
-    write_errors_csv(out / "errors.csv", errors)
-    write_histogram_csv(out / "hist_xy.csv", error_histogram(errors.xy, XY_BIN_WIDTH))
-    write_histogram_csv(out / "hist_z.csv", error_histogram(errors.z, Z_BIN_WIDTH))
-    print(f"mean_xy_error: {float(errors.xy.mean()):.6f}")
-    print(f"max_xy_error: {float(errors.xy.max()):.6f}")
-    print(f"mean_z_error: {float(errors.z.mean()):.6f}")
-    print(f"errors: {out / 'errors.csv'}")
+    paths = write_evaluation(_out_dir(args), errors)
+    _print_errors(errors)
+    print(f"errors: {paths['errors_csv']}")
     return 0
 
 
@@ -205,7 +203,7 @@ def _cmd_export_scene(args) -> int:
     cloud = load_input(read_ply, args.reference, "reference cloud")
     spaces = load_input(load_spaces, args.spaces, "spaces file") if args.spaces else []
     _, coarse = two_level_grids(cloud, config)
-    out = _out_dir(args) / "scene.json"
+    out = _out_dir(args) / OUTPUT_FILES["scene"]
     export_scene(coarse, spaces, out)
     print(f"voxels: {len(coarse)}")
     print(f"boxes: {len(spaces)}")

@@ -11,7 +11,7 @@ residuals carry Geman-McClure weights with kernel scale k = threshold / 3,
 and a registration stops at registration.CONVERGENCE_EPS, the stopping rule
 of every ICP. A constant-velocity model predicts each pose; the adaptive
 correspondence threshold follows the running deviation between prediction
-and estimate.
+and estimate. Its bound and the map's range are multiples of the map's voxel size.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .spatial import SpatialIndex
 from .transform import RigidTransform, Trajectory, orthonormalize_rotation
 from .voxel import VoxelGrid, downsample, voxelize
 
-DEFAULT_THRESHOLD = 1.0     # correspondence bound until the deviation model warms up
 # over voxel_size_fine: the local map's voxel size, and the fine stage's
 # whole-cloud cell size and correspondence distance
 REGISTRATION_SCALE = 5.0
-MAP_RANGE = 100.0           # cells farther than this from the pose are evicted
+THRESHOLD_SCALE = 2.0   # over the map's voxel size: bound until the deviation model warms up
+RANGE_SCALE = 200.0     # over the map's voxel size: cells this far from the pose are evicted
 
 
 @dataclass
@@ -55,14 +55,15 @@ def predict_motion(state: OdometryState) -> RigidTransform:
     # across the recursive pose chain
     return RigidTransform(orthonormalize_rotation(predicted.rotation), predicted.translation)
 
-def adaptive_threshold(state: OdometryState) -> float:
+def adaptive_threshold(state: OdometryState, voxel_size: float) -> float:
     """3-sigma bound from accumulated prediction deviations, clamped to
-    [0.1 * DEFAULT_THRESHOLD, DEFAULT_THRESHOLD]; DEFAULT_THRESHOLD until two
-    scans have been seen."""
+    [0.1 * bound, bound] with bound = THRESHOLD_SCALE * voxel_size, the map's
+    voxel size; the bound itself until two scans have been seen."""
+    bound = THRESHOLD_SCALE * voxel_size
     if len(state.poses) < 2:
-        return DEFAULT_THRESHOLD
+        return bound
     sigma = np.sqrt(state.deviation_sum_sq / len(state.poses))
-    return float(np.clip(3.0 * sigma, 0.1 * DEFAULT_THRESHOLD, DEFAULT_THRESHOLD))
+    return float(np.clip(3.0 * sigma, 0.1 * bound, bound))
 
 
 def register_scan(
@@ -87,7 +88,7 @@ def register_scan(
     if len(grid) == 0:
         pose = RigidTransform.identity()
     else:
-        threshold = adaptive_threshold(state)
+        threshold = adaptive_threshold(state, grid.voxel_size)
         sparse = downsample(voxelize(scan, grid.voxel_size))
         normals, _ = grid.compute_normals()
         try:
@@ -113,7 +114,7 @@ def register_scan(
     state.poses.append(pose)
     if accepted:
         grid.insert(pose.apply(scan.points))
-        grid.evict_outside(pose.translation, MAP_RANGE)
+        grid.evict_outside(pose.translation, RANGE_SCALE * grid.voxel_size)
     return pose
 
 

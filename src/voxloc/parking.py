@@ -267,7 +267,7 @@ def spaces_from_reference(
 
 
 def space_record(space: ParkingSpace) -> dict:
-    """A space as the JSON record that spaces.json and scene.json hold."""
+    """A space as the JSON record that a spaces file and a scene document hold."""
     return {
         "id": int(space.space_id),
         "centroid": [float(v) for v in space.box.centroid],

@@ -5,8 +5,9 @@ odometry, coarse-align the combined cloud with FPFH + RANSAC, refine that
 alignment with one point-to-plane ICP of the whole (downsampled) combined
 cloud, then refine every raw scan with point-to-plane ICP against the fine
 reference grid, each started from the refined whole-cloud alignment.
-Outputs land in a run directory together with a manifest naming them; a
-failed run removes whatever it had already written.
+It computes every stage, parking and scoring included, before it writes the
+artifacts and a manifest naming them; a failed write removes every file of the
+run. OUTPUT_FILES is the one table of artifact file names, here and in the CLI.
 
 Inputs are read only through load_input and load_scans, here and in the CLI,
 so one rule decides every exit code: a file that is missing, unreadable,
@@ -17,6 +18,7 @@ malformed or inconsistent is a PipelineInputError (exit 2, status
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -60,6 +62,21 @@ RANSAC_SCALE = 2.0       # RANSAC inlier distance over voxel_size_coarse
 # whole-cloud ICP iteration cap, above the per-scan one because it starts
 # from the metre-level RANSAC error
 WHOLE_CLOUD_MAX_ITERATIONS = 200
+
+# file name of every artifact, by the name run_pipeline reports it under
+OUTPUT_FILES = {
+    "refined_poses": "refined_poses.txt",
+    "odometry_poses": "odometry_poses.txt",
+    "coarse_transform": "coarse_transform.txt",
+    "combined_cloud": "combined.ply",
+    "spaces": "spaces.json",
+    "scene": "scene.json",
+    "errors_csv": "errors.csv",
+    "hist_xy_csv": "hist_xy.csv",
+    "hist_z_csv": "hist_z.csv",
+    "manifest": "manifest.json",
+}
+_EVALUATION_OUTPUTS = ("errors_csv", "hist_xy_csv", "hist_z_csv")
 
 
 class PipelineInputError(ValueError):
@@ -216,23 +233,25 @@ def refine_scans(
     return whole, per_scan
 
 
+def write_evaluation(out_dir: str | Path, errors: PoseErrors) -> dict[str, Path]:
+    """Write the per-scan errors and the xy and z error histograms into
+    out_dir; returns their paths by artifact name."""
+    paths = {name: Path(out_dir) / OUTPUT_FILES[name] for name in _EVALUATION_OUTPUTS}
+    write_errors_csv(paths["errors_csv"], errors)
+    write_histogram_csv(paths["hist_xy_csv"], error_histogram(errors.xy, XY_BIN_WIDTH))
+    write_histogram_csv(paths["hist_z_csv"], error_histogram(errors.z, Z_BIN_WIDTH))
+    return paths
+
+
 def run_pipeline(run: PipelineRun) -> PipelineResult:
     """Execute the full localization pipeline and write its artifacts.
 
     Returns a result whose exit_code is 0 on success, 2 when an input is
     missing, unreadable, malformed or inconsistent (status "input-error"),
-    and 1 when a stage fails (status "error:<stage>"). On failure every file
-    already written is removed.
+    and 1 when a stage fails (status "error:<stage>"). Nothing is written
+    until every stage has succeeded; a failed write removes every file.
     """
     config = run.config
-    out_dir = Path(run.out_dir)
-    written: list[Path] = []
-
-    def _target(name: str) -> Path:
-        path = out_dir / name
-        written.append(path)
-        return path
-
     try:
         reference = load_input(read_ply, run.reference_path, "reference cloud")
         scans = load_scans(run.scan_dir)
@@ -263,72 +282,57 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         )
         refined_poses = Trajectory([result.transform for result in fine_results])
 
-        stage = "evaluate"
-        errors = None
-        if ground_truth is not None:
-            errors = evaluate_trajectory(refined_poses, ground_truth)
-
-        stage = "write"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts: dict[str, Path] = {}
-
-        artifacts["refined_poses"] = _target("refined_poses.txt")
-        write_poses(artifacts["refined_poses"], refined_poses)
-        artifacts["odometry_poses"] = _target("odometry_poses.txt")
-        write_poses(artifacts["odometry_poses"], odometry_poses)
-        artifacts["coarse_transform"] = _target("coarse_transform.txt")
-        write_poses(artifacts["coarse_transform"], Trajectory([coarse.transform]))
-        artifacts["combined_cloud"] = _target("combined.ply")
-        write_ply(artifacts["combined_cloud"], combined)
-
-        spaces: list[ParkingSpace] = []
+        stage = "parking"
+        spaces = None
         skipped_clusters: list[int] = []
         if reference.labels is not None:
-            stage = "parking"
             spaces = spaces_from_reference(reference, config, skipped=skipped_clusters)
-            stage = "write"
-            artifacts["spaces"] = _target("spaces.json")
+    except Exception as exc:  # noqa: BLE001 - any stage failure aborts the run
+        return PipelineResult(f"error:{stage}", EXIT_STAGE_ERROR, f"{stage}: {exc}")
+    # the ground truth holds one pose per scan, so scoring cannot fail
+    errors = None if ground_truth is None else evaluate_trajectory(refined_poses, ground_truth)
+
+    out_dir = Path(run.out_dir)
+    present = dict.fromkeys(_EVALUATION_OUTPUTS, errors is not None)
+    present["spaces"] = spaces is not None
+    artifacts = {
+        name: out_dir / file for name, file in OUTPUT_FILES.items() if present.get(name, True)
+    }
+    manifest = {
+        "config": asdict(config),
+        "config_hash": config_hash(config),
+        "seed": int(run.seed),
+        "scan_count": len(scans),
+        "rejected_scans": [int(i) for i in odometry_state.rejected],
+        "whole_cloud": {
+            "fitness": whole.fitness,
+            "inlier_rmse": whole.inlier_rmse,
+            "iterations": int(whole.iterations),
+            "converged": bool(whole.converged),
+        },
+        "skipped_car_clusters": len(skipped_clusters),
+        "status": "ok",
+        "outputs": {name: path.name for name, path in artifacts.items() if name != "manifest"},
+    }
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_poses(artifacts["refined_poses"], refined_poses)
+        write_poses(artifacts["odometry_poses"], odometry_poses)
+        write_poses(artifacts["coarse_transform"], Trajectory([coarse.transform]))
+        write_ply(artifacts["combined_cloud"], combined)
+        if spaces is not None:
             save_spaces(artifacts["spaces"], spaces)
-
-        artifacts["scene"] = _target("scene.json")
-        export_scene(reference_coarse, spaces, artifacts["scene"])
-
+        export_scene(reference_coarse, spaces or [], artifacts["scene"])
         if errors is not None:
-            artifacts["errors_csv"] = _target("errors.csv")
-            write_errors_csv(artifacts["errors_csv"], errors)
-            artifacts["hist_xy_csv"] = _target("hist_xy.csv")
-            write_histogram_csv(artifacts["hist_xy_csv"], error_histogram(errors.xy, XY_BIN_WIDTH))
-            artifacts["hist_z_csv"] = _target("hist_z.csv")
-            write_histogram_csv(artifacts["hist_z_csv"], error_histogram(errors.z, Z_BIN_WIDTH))
-
-        manifest_path = _target("manifest.json")
-        manifest = {
-            "config": asdict(config),
-            "config_hash": config_hash(config),
-            "seed": int(run.seed),
-            "scan_count": len(scans),
-            "rejected_scans": [int(i) for i in odometry_state.rejected],
-            "whole_cloud": {
-                "fitness": whole.fitness,
-                "inlier_rmse": whole.inlier_rmse,
-                "iterations": int(whole.iterations),
-                "converged": bool(whole.converged),
-            },
-            "skipped_car_clusters": len(skipped_clusters),
-            "status": "ok",
-            "outputs": {name: path.name for name, path in artifacts.items()},
-        }
-        with open(manifest_path, "w", encoding="ascii") as handle:
+            write_evaluation(out_dir, errors)
+        with open(artifacts["manifest"], "w", encoding="ascii") as handle:
             json.dump(manifest, handle, sort_keys=True, indent=2)
             handle.write("\n")
-        artifacts["manifest"] = manifest_path
-    except Exception as exc:  # noqa: BLE001 - any stage failure aborts the run
-        for path in written:
-            try:
+    except Exception as exc:  # noqa: BLE001 - a partial run is worse than none
+        for path in artifacts.values():
+            with suppress(OSError):
                 path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        return PipelineResult(f"error:{stage}", EXIT_STAGE_ERROR, f"{stage}: {exc}")
+        return PipelineResult("error:write", EXIT_STAGE_ERROR, f"write: {exc}")
 
     return PipelineResult(
         "ok",
@@ -340,7 +344,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         whole_cloud=whole,
         fine=fine_results,
         errors=errors,
-        rejected_scans=[int(i) for i in odometry_state.rejected],
+        rejected_scans=manifest["rejected_scans"],
     )
 
 

@@ -72,8 +72,6 @@ def estimate_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     if not s[0] > 0.0 or s[1] < 1e-12 * s[0]:
         raise DegenerateGeometryError("point pairs are coincident or collinear")
     d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
     rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     translation = centroid_b - rotation @ centroid_a
     return RigidTransform(rotation, translation)

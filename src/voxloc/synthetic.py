@@ -74,7 +74,7 @@ def _sample_rect(rng, origin, edge_u, edge_v, density):
     return origin + ab[:, :1] * edge_u + ab[:, 1:] * edge_v
 
 
-def _sample_box(rng, center, size, yaw, density, top=True, bottom=False):
+def _sample_box(rng, center, size, yaw, density, top=True):
     """Samples on the faces of a yaw-rotated cuboid."""
     sx, sy, sz = size
     c, s = np.cos(yaw), np.sin(yaw)
@@ -87,8 +87,6 @@ def _sample_box(rng, center, size, yaw, density, top=True, bottom=False):
     faces.append(((-sx / 2, sy / 2, -sz / 2), (sx, 0, 0), (0, 0, sz)))
     if top:
         faces.append(((-sx / 2, -sy / 2, sz / 2), (sx, 0, 0), (0, sy, 0)))
-    if bottom:
-        faces.append(((-sx / 2, -sy / 2, -sz / 2), (sx, 0, 0), (0, sy, 0)))
     parts = [_sample_rect(rng, o, u, v, density) for o, u, v in faces]
     pts = np.vstack(parts)
     return pts @ rot.T + np.asarray(center, dtype=float)

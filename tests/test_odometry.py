@@ -9,7 +9,9 @@ from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig
 from voxloc.errors import InsufficientOverlapError
 from voxloc.odometry import (
-    DEFAULT_THRESHOLD,
+    RANGE_SCALE,
+    REGISTRATION_SCALE,
+    THRESHOLD_SCALE,
     OdometryState,
     adaptive_threshold,
     combine_scans,
@@ -91,34 +93,56 @@ class TestPredictMotion:
                                    np.eye(3), atol=1e-12)
 
 
+# map voxel sizes: the default config's (0.5 m), and ten times finer and coarser
+MAP_VOXELS = (0.05, 0.5, 5.0)
+
+
 class TestAdaptiveThreshold:
+    """The bound is THRESHOLD_SCALE map voxels; deviations are given in voxels."""
+
+    def test_default_config_keeps_the_metric_distances(self):
+        # 1 m and 100 m were absolute constants before they scaled with the map
+        voxel = REGISTRATION_SCALE * PipelineConfig().voxel_size_fine
+        assert adaptive_threshold(OdometryState(), voxel) == 1.0
+        assert RANGE_SCALE * voxel == 100.0
+
     def test_fresh_state_returns_default(self):
-        assert adaptive_threshold(OdometryState()) == DEFAULT_THRESHOLD
+        for voxel in MAP_VOXELS:
+            assert adaptive_threshold(OdometryState(), voxel) == THRESHOLD_SCALE * voxel
 
     def test_single_observation_still_returns_default(self):
-        state = _state(1, deviation_sum_sq=25.0)
-        assert adaptive_threshold(state) == DEFAULT_THRESHOLD
+        for voxel in MAP_VOXELS:
+            state = _state(1, deviation_sum_sq=100.0 * voxel**2)
+            assert adaptive_threshold(state, voxel) == THRESHOLD_SCALE * voxel
 
     def test_uniform_deviations_give_three_sigma(self):
-        # four deviations of exactly 0.1 m: sigma = 0.1, threshold = 0.3
-        state = _state(4, deviation_sum_sq=4 * 0.1**2)
-        assert adaptive_threshold(state) == pytest.approx(0.3, abs=1e-15)
+        for voxel in MAP_VOXELS:
+            # four deviations of exactly 0.2 voxels: sigma = 0.2, threshold = 0.6 voxels
+            state = _state(4, deviation_sum_sq=4 * (0.2 * voxel) ** 2)
+            assert adaptive_threshold(state, voxel) == pytest.approx(0.6 * voxel, rel=1e-15)
 
     def test_near_zero_deviations_clamp_to_lower_bound(self):
-        state = _state(10, deviation_sum_sq=1e-20)
-        assert adaptive_threshold(state) == pytest.approx(0.1 * DEFAULT_THRESHOLD, abs=1e-15)
+        for voxel in MAP_VOXELS:
+            state = _state(10, deviation_sum_sq=1e-20)
+            assert adaptive_threshold(state, voxel) == pytest.approx(
+                0.1 * THRESHOLD_SCALE * voxel, rel=1e-15
+            )
 
     def test_large_deviations_clamp_to_default(self):
-        state = _state(3, deviation_sum_sq=300.0)
-        assert adaptive_threshold(state) == DEFAULT_THRESHOLD
+        for voxel in MAP_VOXELS:
+            state = _state(3, deviation_sum_sq=1200.0 * voxel**2)
+            assert adaptive_threshold(state, voxel) == THRESHOLD_SCALE * voxel
 
     def test_always_within_clamp_interval(self, rng):
-        for _ in range(50):
-            state = _state(
-                int(rng.integers(2, 40)), deviation_sum_sq=float(rng.uniform(0.0, 100.0))
-            )
-            value = adaptive_threshold(state)
-            assert 0.1 * DEFAULT_THRESHOLD <= value <= DEFAULT_THRESHOLD
+        for voxel in MAP_VOXELS:
+            bound = THRESHOLD_SCALE * voxel
+            for _ in range(50):
+                state = _state(
+                    int(rng.integers(2, 40)),
+                    deviation_sum_sq=float(rng.uniform(0.0, 400.0)) * voxel**2,
+                )
+                value = adaptive_threshold(state, voxel)
+                assert 0.1 * bound <= value <= bound
 
 
 class TestRegisterScan:

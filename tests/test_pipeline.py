@@ -485,7 +485,24 @@ class TestRunPipeline:
         result = run_pipeline(run)
         assert result.status == "error:parking"
         assert result.exit_code == 1
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_write_removes_every_file(self, dataset, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        before_scene = []
+
+        def broken(grid, spaces, path):
+            before_scene.extend(sorted(p.name for p in out.iterdir()))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline_module, "export_scene", broken)
+        assert main(["pipeline", "--reference", str(dataset["reference"]),
+                     "--scans", str(dataset["scans"]),
+                     "--gt-poses", str(dataset["gt_poses"]),
+                     "--seed", "0", "--out-dir", str(out)]) == 1
+        assert "error: error:write: write: disk full" in capsys.readouterr().err
+        assert {"refined_poses.txt", "odometry_poses.txt", "combined.ply"} <= set(before_scene)
+        assert list(out.iterdir()) == []
 
 
 class TestRefineScans:
@@ -594,6 +611,23 @@ def test_default_street_at_utm_offset_converges(tmp_path):
     assert abs(errors[1] - errors[0]) < 1e-5
 
 
+@pytest.mark.slow
+def test_default_street_localizes_at_coarse_resolutions(tmp_path):
+    # odometry distances scale with the map's voxel size: with the 1 m and
+    # 100 m of the default config kept fixed, this street ended 7.7 m off, ok
+    paths = write_synthetic_dataset(tmp_path / "data", 7)
+    result = run_pipeline(PipelineRun(
+        config=PipelineConfig(voxel_size_fine=1.0, voxel_size_coarse=2.0),
+        reference_path=paths["reference"],
+        scan_dir=paths["scans"],
+        out_dir=tmp_path / "out",
+        gt_poses_path=paths["gt_poses"],
+        seed=0,
+    ))
+    assert result.status == "ok"
+    assert result.errors.xy.max() < 0.05
+
+
 class TestConfigHash:
     def test_stable_for_equal_configs(self):
         assert config_hash(PipelineConfig()) == config_hash(PipelineConfig())
@@ -622,11 +656,18 @@ class TestCli:
         fitness = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("whole_cloud_fitness: ")]
         assert len(fitness) == 1
+        assert main(["eval", "--est", "stage/refined_poses.txt",
+                     "--gt-poses", "data/gt_poses.txt", "--out-dir", "stage"]) == 0
+        assert main(["parking", "--reference", "data/reference.ply",
+                     "--update-cloud", "data/reference.ply", "--out-dir", "stage"]) == 0
+        assert main(["export-scene", "--reference", "data/reference.ply",
+                     "--spaces", "stage/spaces.json", "--out-dir", "stage"]) == 0
         assert main(["pipeline", "--reference", "data/reference.ply",
                      "--scans", "data/scans", "--gt-poses", "data/gt_poses.txt",
                      "--seed", "0", "--out-dir", "full"]) == 0
-        for name in ("refined_poses.txt", "odometry_poses.txt",
-                     "coarse_transform.txt", "combined.ply"):
+        full = {path.name for path in (tmp_path / "full").iterdir()}
+        assert full == {path.name for path in (tmp_path / "stage").iterdir()} | {"manifest.json"}
+        for name in sorted(full - {"manifest.json"}):
             staged = (tmp_path / "stage" / name).read_bytes()
             assert staged == (tmp_path / "full" / name).read_bytes(), name
         manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
