@@ -249,7 +249,9 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     Returns a result whose exit_code is 0 on success, 2 when an input is
     missing, unreadable, malformed or inconsistent (status "input-error"),
     and 1 when a stage fails (status "error:<stage>"). Nothing is written
-    until every stage has succeeded; a failed write removes every file.
+    until every stage has succeeded; a failed write removes every file. A
+    successful write removes the artifact files of an earlier run that this
+    run does not write, so out_dir holds exactly what the manifest lists.
     """
     config = run.config
     try:
@@ -328,6 +330,9 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         with open(artifacts["manifest"], "w", encoding="ascii") as handle:
             json.dump(manifest, handle, sort_keys=True, indent=2)
             handle.write("\n")
+        for name, file in OUTPUT_FILES.items():
+            if name not in artifacts:  # an earlier run's, which the manifest does not list
+                (out_dir / file).unlink(missing_ok=True)
     except Exception as exc:  # noqa: BLE001 - a partial run is worse than none
         for path in artifacts.values():
             with suppress(OSError):
@@ -351,7 +356,8 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 def write_synthetic_dataset(
     out_dir: str | Path, seed: int, spec: SceneSpec | None = None
 ) -> dict[str, Path]:
-    """Materialize a synthetic scene as pipeline-ready input files."""
+    """Materialize a synthetic scene as pipeline-ready input files; scan
+    files of an earlier call that this one does not write are removed."""
     out_dir = Path(out_dir)
     scan_dir = out_dir / "scans"
     scan_dir.mkdir(parents=True, exist_ok=True)
@@ -362,7 +368,11 @@ def write_synthetic_dataset(
         "gt_poses": out_dir / "gt_poses.txt",
     }
     write_ply(paths["reference"], reference)
-    for index, scan in enumerate(scans):
-        write_ply(scan_dir / f"scan_{index:04d}.ply", scan)
+    names = [f"scan_{index:04d}.ply" for index in range(len(scans))]
+    for name, scan in zip(names, scans):
+        write_ply(scan_dir / name, scan)
+    for path in scan_dir.glob("scan_*.ply"):
+        if path.name not in names:
+            path.unlink()
     write_poses(paths["gt_poses"], trajectory)
     return paths

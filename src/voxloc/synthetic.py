@@ -8,11 +8,21 @@ itself, which coarse registration depends on. Scans are noisy sensor-frame
 subsets of the reference points taken along a ground-truth trajectory, so
 with zero noise a scan transformed by its ground-truth pose lands exactly on
 reference points.
+
+generate_synthetic_scene runs three stages on one generator:
+- build_street draws the street geometry: the labelled reference, the weld
+  (the pose of the second street piece) and the bend angle;
+- trajectory places the poses along the bent centerline and draws nothing;
+- sample_scans draws rng.choice, then rng.normal, per scan.
+Each stage keeps its draws in this order, so a seed and a spec always give
+the same files; a change that adds, drops or reorders a draw changes the
+bytes of every scene after that draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +73,21 @@ class SceneSpec:
             raise ValueError("bend_degrees must lie in (-60, 60)")
 
 
+class Street(NamedTuple):
+    """A generated street: the labelled reference cloud, the pose of its
+    second straight piece in the frame of the first, and the bend angle."""
+
+    reference: PointCloud
+    weld: RigidTransform
+    bend: float
+
+
+def _yaw_matrix(yaw):
+    """Rotation by yaw (radians) about +z."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def _sample_rect(rng, origin, edge_u, edge_v, density):
     """Uniform samples on the parallelogram origin + a*edge_u + b*edge_v."""
     origin = np.asarray(origin, dtype=float)
@@ -77,8 +102,6 @@ def _sample_rect(rng, origin, edge_u, edge_v, density):
 def _sample_box(rng, center, size, yaw, density, top=True):
     """Samples on the faces of a yaw-rotated cuboid."""
     sx, sy, sz = size
-    c, s = np.cos(yaw), np.sin(yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     faces = []
     # side faces: +-x and +-y in the box frame
     faces.append(((-sx / 2, -sy / 2, -sz / 2), (0, sy, 0), (0, 0, sz)))
@@ -89,7 +112,7 @@ def _sample_box(rng, center, size, yaw, density, top=True):
         faces.append(((-sx / 2, -sy / 2, sz / 2), (sx, 0, 0), (0, sy, 0)))
     parts = [_sample_rect(rng, o, u, v, density) for o, u, v in faces]
     pts = np.vstack(parts)
-    return pts @ rot.T + np.asarray(center, dtype=float)
+    return pts @ _yaw_matrix(yaw).T + np.asarray(center, dtype=float)
 
 
 def _sample_cylinder(rng, center_xy, radius, z0, z1, density):
@@ -224,50 +247,19 @@ def _decorate_slabs(rng, wall_y, inward, x0, blen, height, density):
                 _sample_box(rng, (x, wall_y + inward * depth / 2.0, z), (width, depth, 0.4), 0.0, density)
             )
             if rng.random() < 0.4:
-                parts.append(
-                    _sample_box(
-                        rng,
-                        (x, wall_y + inward * 0.5, max(0.6, z - 1.0)),
-                        (width * 0.8, 1.0, 0.5),
-                        0.0,
-                        density,
-                    )
-                )
+                balcony = (x, wall_y + inward * 0.5, max(0.6, z - 1.0))
+                parts.append(_sample_box(rng, balcony, (width * 0.8, 1.0, 0.5), 0.0, density))
             x += rng.uniform(2.8, 4.5)
     return parts
 
 
-def _gable_roof(rng, x0, blen, y_center, depth, eave_z, pitch, density):
-    """Two roof slopes meeting at a ridge that runs along x."""
-    rise = (depth / 2.0) * np.tan(pitch)
-    south = _sample_rect(
-        rng,
-        (x0, y_center - depth / 2.0, eave_z),
-        (blen, 0.0, 0.0),
-        (0.0, depth / 2.0, rise),
-        density,
-    )
-    north = _sample_rect(
-        rng,
-        (x0, y_center + depth / 2.0, eave_z),
-        (blen, 0.0, 0.0),
-        (0.0, -depth / 2.0, rise),
-        density,
-    )
-    return [south, north]
-
-
-def _shed_roof(rng, x0, blen, y_center, depth, eave_z, pitch, toward, density):
-    """Single slope across the full depth, rising toward +y or -y."""
-    rise = depth * np.tan(pitch)
+def _roof(rng, x0, blen, eave_z, pitch, slopes, density):
+    """Roof slopes running along x from x0: each (eave_y, run) rises at pitch
+    from its eave at y = eave_y across a horizontal run in y."""
     return [
-        _sample_rect(
-            rng,
-            (x0, y_center - toward * depth / 2.0, eave_z),
-            (blen, 0.0, 0.0),
-            (0.0, toward * depth, rise),
-            density,
-        )
+        _sample_rect(rng, (x0, eave_y, eave_z), (blen, 0.0, 0.0),
+                     (0.0, run, abs(run) * np.tan(pitch)), density)
+        for eave_y, run in slopes
     ]
 
 
@@ -298,11 +290,14 @@ def _building_row(rng, length: float, half_w: float, side: float, style: str, de
         parts.append(_sample_box(rng, center, (blen, depth, height), 0.0, density, top=False))
         footprints.append((x, x + blen, setback))
         pitch = rng.uniform(np.radians(18.0), np.radians(45.0))
-        if rng.random() < 0.6:
-            parts.extend(_gable_roof(rng, x, blen, yc, depth, height, pitch, density))
-        else:
+        if rng.random() < 0.6:  # gable: two half-depth slopes meeting at a ridge
+            half = depth / 2.0
+            slopes = [(yc - half, half), (yc + half, -half)]
+        else:  # shed: one full-depth slope, rising toward +y or -y
             toward = 1.0 if rng.random() < 0.5 else -1.0
-            parts.extend(_shed_roof(rng, x, blen, yc, depth, height, pitch * 0.6, toward, density))
+            slopes = [(yc - toward * depth / 2.0, toward * depth)]
+            pitch *= 0.6
+        parts.extend(_roof(rng, x, blen, height, pitch, slopes, density))
         if style == "ribs":
             parts.extend(_decorate_ribs(rng, wall_y, inward, x, blen, height, density))
         else:
@@ -356,23 +351,12 @@ def _street_segment(rng, spec: SceneSpec, length: float, car_count: int, closed_
     if kiosks:
         parts.append((np.vstack(kiosks), LABEL_FACADE, np.array([128, 116, 104], np.uint8)))
     if closed_start:
-        end_wall = _sample_rect(
-            rng,
-            (0.0, -ground_w / 2.0, 0.0),
-            (0.0, ground_w, 0.0),
-            (0.0, 0.0, FACADE_HEIGHT),
-            density,
-        )
-        portal = _sample_box(
-            rng,
-            (0.35, -0.18 * half_w, 0.3 * FACADE_HEIGHT),
-            (0.7, 0.36 * half_w, 0.6 * FACADE_HEIGHT),
-            0.0,
-            density,
-        )
-        parts.append(
-            (np.vstack([end_wall, portal]), LABEL_FACADE, np.array([110, 110, 128], np.uint8))
-        )
+        end_wall = _sample_rect(rng, (0.0, -ground_w / 2.0, 0.0), (0.0, ground_w, 0.0),
+                                (0.0, 0.0, FACADE_HEIGHT), density)
+        portal = _sample_box(rng, (0.35, -0.18 * half_w, 0.3 * FACADE_HEIGHT),
+                             (0.7, 0.36 * half_w, 0.6 * FACADE_HEIGHT), 0.0, density)
+        wall = np.vstack([end_wall, portal])
+        parts.append((wall, LABEL_FACADE, np.array([110, 110, 128], np.uint8)))
 
     placements = _place_cars(rng, length, STREET_WIDTH, car_count)
     cars = [_sample_box(rng, center, dims, yaw, density) for center, dims, yaw in placements]
@@ -383,19 +367,14 @@ def _street_segment(rng, spec: SceneSpec, length: float, car_count: int, closed_
     return parts, cars
 
 
-def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
-    """Build (reference cloud, scans, ground-truth trajectory).
+def build_street(rng, spec: SceneSpec) -> Street:
+    """Draw the street: two straight pieces welded at the bend, their cars,
+    and a round tower on the outside of the bend.
 
     The street bends once midway; the dogleg gives the corridor a global
     shape that no translation or 180-degree flip maps onto itself. The
-    reference carries labels and colors. Scans are expressed in their sensor
-    frames; the trajectory maps each scan into the reference frame.
-    Identical seeds and specs reproduce identical outputs.
+    reference carries labels and colors.
     """
-    if spec is None:
-        spec = SceneSpec()
-    rng = np.random.default_rng(seed)
-
     length_a = spec.street_length * rng.uniform(0.4, 0.6)
     length_b = spec.street_length - length_a
     if spec.bend_degrees is None:
@@ -403,11 +382,7 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
     else:
         bend = np.radians(spec.bend_degrees)
     cars_a = int(round(spec.car_count * length_a / spec.street_length))
-    c, s = np.cos(bend), np.sin(bend)
-    weld = RigidTransform(
-        np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
-        np.array([length_a, 0.0, 0.0]),
-    )
+    weld = RigidTransform(_yaw_matrix(bend), np.array([length_a, 0.0, 0.0]))
 
     parts_a, cars_list_a = _street_segment(rng, spec, length_a, cars_a, closed_start=True)
     parts_b, cars_list_b = _street_segment(rng, spec, length_b, spec.car_count - cars_a, closed_start=False)
@@ -425,22 +400,23 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
     tower_h = rng.uniform(10.0, 14.0)
     outer = -np.sign(bend) if bend != 0.0 else 1.0
     tower_xy = (length_a + 1.0, outer * (half_w + tower_r + 1.0))
-    tower = np.vstack(
-        [
-            _sample_cylinder(rng, tower_xy, tower_r, 0.0, tower_h, spec.surface_density),
-            _sample_cone(rng, tower_xy, tower_r + 0.4, tower_h, tower_h + rng.uniform(2.5, 4.0),
-                         spec.surface_density),
-        ]
-    )
+    tower = np.vstack([
+        _sample_cylinder(rng, tower_xy, tower_r, 0.0, tower_h, spec.surface_density),
+        _sample_cone(rng, tower_xy, tower_r + 0.4, tower_h, tower_h + rng.uniform(2.5, 4.0),
+                     spec.surface_density),
+    ])
     parts.append((tower, LABEL_FACADE, np.array([150, 105, 95], np.uint8)))
 
     points = np.vstack([p for p, _, _ in parts])
     labels = np.concatenate([np.full(len(p), lab, np.int64) for p, lab, _ in parts])
     colors = np.vstack([np.tile(col, (len(p), 1)) for p, _, col in parts])
-    reference = PointCloud(points, colors, labels)
+    return Street(PointCloud(points, colors, labels), weld, bend)
 
-    # ground-truth trajectory: arclength-stepped along the bent centerline
-    # with mild wobble
+
+def trajectory(spec: SceneSpec, street: Street) -> Trajectory:
+    """Ground-truth sensor poses, stepped by arclength along the bent
+    centerline with a mild wobble; draws no random numbers."""
+    length_a = street.weld.translation[0]
     poses = []
     for k in range(spec.scan_count):
         arc = 4.0 + spec.scan_spacing * k
@@ -450,14 +426,18 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
             base_xy = np.array([arc, wobble_y])
             heading = wobble_yaw
         else:
-            local = np.array([arc - length_a, wobble_y])
-            base_xy = weld.apply(np.array([local[0], local[1], 0.0]))[:2]
-            heading = bend + wobble_yaw
-        ch, sh = np.cos(heading), np.sin(heading)
-        rotation = np.array([[ch, -sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
-        poses.append(RigidTransform(rotation, np.array([base_xy[0], base_xy[1], SENSOR_HEIGHT])))
-    trajectory = Trajectory(poses)
+            base_xy = street.weld.apply(np.array([arc - length_a, wobble_y, 0.0]))[:2]
+            heading = street.bend + wobble_yaw
+        poses.append(RigidTransform(_yaw_matrix(heading), np.append(base_xy, SENSOR_HEIGHT)))
+    return Trajectory(poses)
 
+
+def sample_scans(rng, spec: SceneSpec, reference: PointCloud,
+                 poses: Trajectory) -> list[PointCloud]:
+    """One scan per pose, in its sensor frame: up to points_per_scan
+    reference points within sensor_range, drawn without replacement, plus
+    Gaussian noise of noise_sigma."""
+    points = reference.points
     scans = []
     for pose in poses:
         in_range = np.flatnonzero(
@@ -468,6 +448,20 @@ def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
         local = pose.inverse().apply(points[chosen])
         if spec.noise_sigma > 0:
             local = local + rng.normal(0.0, spec.noise_sigma, local.shape)
-        scans.append(PointCloud(local, colors[chosen], labels[chosen]))
+        scans.append(PointCloud(local, reference.colors[chosen], reference.labels[chosen]))
+    return scans
 
-    return reference, scans, trajectory
+
+def generate_synthetic_scene(seed: int, spec: SceneSpec | None = None):
+    """Build (reference cloud, scans, ground-truth trajectory).
+
+    Scans are expressed in their sensor frames; the trajectory maps each scan
+    into the reference frame. Identical seeds and specs reproduce identical
+    outputs.
+    """
+    if spec is None:
+        spec = SceneSpec()
+    rng = np.random.default_rng(seed)
+    street = build_street(rng, spec)
+    truth = trajectory(spec, street)
+    return street.reference, sample_scans(rng, spec, street.reference, truth), truth

@@ -61,11 +61,6 @@ class VoxelGrid:
         return self._keys * self.voxel_size + self._sums / self._counts[:, None]
 
     @property
-    def covariances(self) -> np.ndarray:
-        flat = _covariance_columns(self._counts, self._sums, self._moments)
-        return flat[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(-1, 3, 3)  # the 3x3 entries, row-major
-
-    @property
     def has_covariance(self) -> np.ndarray:
         return self._counts >= 3
 

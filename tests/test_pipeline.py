@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -267,6 +268,21 @@ class TestWriteSyntheticDataset:
         assert reference.labels is not None
         assert reference.colors is not None
 
+    def test_rewrite_removes_the_earlier_scans(self, tmp_path):
+        # a second scene of fewer scans into the same directory once left the
+        # first scene's last scans beside its own
+        light = ["--out-dir", str(tmp_path), "--street-length", "20",
+                 "--surface-density", "40", "--points-per-scan", "300"]
+        assert main(["synth", "--seed", "3", "--scan-count", "6", *light]) == 0
+        (tmp_path / "scans" / "notes.txt").write_text("kept\n")
+        assert main(["synth", "--seed", "5", "--scan-count", "4", *light]) == 0
+        names = sorted(p.name for p in (tmp_path / "scans").iterdir())
+        assert names == ["notes.txt"] + [f"scan_{i:04d}.ply" for i in range(4)]
+        _, scans, _ = generate_synthetic_scene(5, SceneSpec(
+            street_length=20.0, scan_count=4, points_per_scan=300, surface_density=40.0))
+        for path, scan in zip(list_scan_files(tmp_path / "scans"), scans):
+            np.testing.assert_array_equal(read_ply(path).points, scan.points)
+
 
 class TestRunPipeline:
     def test_successful_run_reports_ok(self, completed_run):
@@ -504,6 +520,20 @@ class TestRunPipeline:
         assert {"refined_poses.txt", "odometry_poses.txt", "combined.ply"} <= set(before_scene)
         assert list(out.iterdir()) == []
 
+    def test_run_without_ground_truth_removes_the_earlier_evaluation(self, dataset, tmp_path):
+        # the error files of an earlier run with ground truth once stayed
+        # beside the new poses, unlisted by the new manifest
+        out = tmp_path / "out"
+        inputs = ["pipeline", "--reference", str(dataset["reference"]),
+                  "--scans", str(dataset["scans"]), "--seed", "0", "--out-dir", str(out)]
+        assert main([*inputs, "--gt-poses", str(dataset["gt_poses"])]) == 0
+        assert (out / "errors.csv").is_file()
+        assert main(inputs) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "errors_csv" not in manifest["outputs"]
+        listed = set(manifest["outputs"].values()) | {"manifest.json"}
+        assert {p.name for p in out.iterdir()} == listed
+
 
 class TestRefineScans:
     @pytest.fixture(scope="class")
@@ -626,6 +656,37 @@ def test_default_street_localizes_at_coarse_resolutions(tmp_path):
     ))
     assert result.status == "ok"
     assert result.errors.xy.max() < 0.05
+
+
+@pytest.mark.slow
+def test_localization_is_scale_equivariant(small_scene, tmp_path):
+    # every distance of a run derives from the two resolutions and the
+    # cluster distance, so a scene and those three scaled by s must give the
+    # refined translations times s and the same rotations
+    reference, scans, truth = small_scene
+    base = PipelineConfig()
+    refined = {}
+    for s in (1.0, 0.1, 10.0):
+        data = tmp_path / f"s{s}"
+        (data / "scans").mkdir(parents=True)
+        write_ply(data / "reference.ply",
+                  PointCloud(reference.points * s, reference.colors, reference.labels))
+        for index, scan in enumerate(scans):
+            write_ply(data / "scans" / f"scan_{index:04d}.ply",
+                      PointCloud(scan.points * s, scan.colors, scan.labels))
+        write_poses(data / "gt_poses.txt",
+                    Trajectory([RigidTransform(p.rotation, p.translation * s) for p in truth]))
+        config = replace(base, voxel_size_fine=base.voxel_size_fine * s,
+                         voxel_size_coarse=base.voxel_size_coarse * s,
+                         cluster_distance=base.cluster_distance * s)
+        result = run_pipeline(PipelineRun(config, data / "reference.ply", data / "scans",
+                                          data / "out", data / "gt_poses.txt", seed=0))
+        assert result.status == "ok"
+        refined[s] = result.refined_poses
+    for s in (0.1, 10.0):
+        for got, want in zip(refined[s], refined[1.0]):
+            assert np.linalg.norm(got.translation / s - want.translation) < 1e-3
+            assert Rotation.from_matrix(got.rotation.T @ want.rotation).magnitude() < 1e-4
 
 
 class TestConfigHash:

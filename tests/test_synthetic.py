@@ -1,5 +1,7 @@
 """Synthetic street scenes: determinism, self-consistency, validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -9,8 +11,14 @@ from voxloc.synthetic import (
     LABEL_FACADE,
     LABEL_GROUND,
     SceneSpec,
+    build_street,
     generate_synthetic_scene,
+    sample_scans,
+    trajectory,
 )
+
+# sha256 of _scene_bytes at seeds 3 and 9 of _light_spec()
+_LIGHT_SCENE_SHA256 = "6b7e242ceec2e8fd54abee892600a30e293cb52bf31ceebaf232f2e9fd6b38b6"
 
 
 def _light_spec(**overrides):
@@ -20,7 +28,36 @@ def _light_spec(**overrides):
     return SceneSpec(**base)
 
 
+def _scene_bytes(scene):
+    """Every array of a generated scene, in a fixed order, as raw bytes."""
+    reference, scans, truth = scene
+    clouds = [reference, *scans]
+    arrays = [a for cloud in clouds for a in (cloud.points, cloud.colors, cloud.labels)]
+    arrays += [a for pose in truth for a in (pose.rotation, pose.translation)]
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
 class TestDeterminism:
+    def test_generated_bytes_are_pinned(self):
+        """Benchmark inputs are regenerated from their seeds on every run, so
+        a draw added, dropped or reordered here would silently change every
+        workload; a change to the generated bytes must be deliberate."""
+        digest = hashlib.sha256()
+        for seed in (3, 9):
+            digest.update(_scene_bytes(generate_synthetic_scene(seed, _light_spec())))
+        assert digest.hexdigest() == _LIGHT_SCENE_SHA256
+
+    def test_scene_is_the_three_stages_on_one_generator(self):
+        spec = _light_spec(bend_degrees=0.0)
+        rng = np.random.default_rng(5)
+        street = build_street(rng, spec)
+        truth = trajectory(spec, street)
+        scans = sample_scans(rng, spec, street.reference, truth)
+        assert _scene_bytes((street.reference, scans, truth)) == _scene_bytes(
+            generate_synthetic_scene(5, spec))
+        assert street.bend == 0.0
+        np.testing.assert_array_equal(street.weld.rotation, np.eye(3))
+
     def test_same_seed_reproduces_everything(self):
         first = generate_synthetic_scene(9, _light_spec())
         second = generate_synthetic_scene(9, _light_spec())
