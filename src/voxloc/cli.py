@@ -13,9 +13,9 @@ commands, `eval`, `parking --reference R --update-cloud R` and
 `export-scene --spaces` chained in one directory reproduce every file of a
 `pipeline` run but its manifest.
 
-Every command reads its inputs through pipeline.load_input and load_scans,
-as run_pipeline does, and exits by the same rule: 0 on success, 2 on a
-PipelineInputError (an input missing, unreadable, malformed or
+Every command reads its inputs through pipeline.load_input, load_poses and
+load_scans, as run_pipeline does, and exits by the same rule: 0 on success, 2
+on a PipelineInputError (an input missing, unreadable, malformed or
 inconsistent; stderr says "input-error"), 1 on any other failure.
 """
 
@@ -39,6 +39,7 @@ from .pipeline import (
     coarse_align,
     export_scene,
     load_input,
+    load_poses,
     load_scans,
     refine_scans,
     run_pipeline,
@@ -47,7 +48,6 @@ from .pipeline import (
     write_synthetic_dataset,
 )
 from .synthetic import SceneSpec
-from .transform import Trajectory
 from .voxel import voxelize
 
 
@@ -98,7 +98,7 @@ def _cmd_coarse(args) -> int:
     _, reference_coarse = two_level_grids(reference, config)
     result = coarse_align(reference_coarse, combined, config, args.seed)
     out = _out_dir(args) / OUTPUT_FILES["coarse_transform"]
-    write_poses(out, Trajectory([result.transform]))
+    write_poses(out, [result.transform])
     print(f"fitness: {result.fitness:.6f}")
     print(f"inlier_rmse: {result.inlier_rmse:.6f}")
     print(f"iterations: {result.iterations}")
@@ -110,16 +110,12 @@ def _cmd_fine(args) -> int:
     config = _resolve_config(args)
     reference = load_input(read_ply, args.reference, "reference cloud")
     scans = load_scans(args.scans)
-    odometry_poses = load_input(read_poses, args.odom_poses, "odometry poses")
-    coarse_list = load_input(read_poses, args.coarse_transform, "coarse transform")
-    if len(odometry_poses) != len(scans):
-        raise PipelineInputError(f"{len(odometry_poses)} poses for {len(scans)} scans")
-    if len(coarse_list) != 1:
-        raise PipelineInputError("coarse transform file must hold exactly one pose")
+    odometry_poses = load_poses(args.odom_poses, "odometry poses", len(scans))
+    [coarse] = load_poses(args.coarse_transform, "coarse transform", 1)
     fine_grid = voxelize(reference, config.voxel_size_fine)
-    whole, results = refine_scans(scans, odometry_poses, coarse_list[0], fine_grid, config)
+    whole, results = refine_scans(scans, odometry_poses, coarse, fine_grid, config)
     out = _out_dir(args) / OUTPUT_FILES["refined_poses"]
-    write_poses(out, Trajectory([result.transform for result in results]))
+    write_poses(out, [result.transform for result in results])
     print(f"whole_cloud_fitness: {whole.fitness:.6f}")
     print(f"refined {len(results)} poses")
     print(f"poses: {out}")
@@ -184,13 +180,9 @@ def _cmd_parking(args) -> int:
 
 def _cmd_eval(args) -> int:
     estimated = load_input(read_poses, args.est, "estimated poses")
-    ground_truth = load_input(read_poses, args.gt_poses, "ground-truth poses")
-    if len(estimated) != len(ground_truth):
-        raise PipelineInputError(
-            f"{len(estimated)} estimated poses vs {len(ground_truth)} ground truth"
-        )
-    if len(estimated) == 0:
-        raise PipelineInputError(f"poses {args.est} and {args.gt_poses} are empty")
+    if not estimated:
+        raise PipelineInputError(f"estimated poses {args.est} are empty")
+    ground_truth = load_poses(args.gt_poses, "ground-truth poses", len(estimated))
     errors = evaluate_trajectory(estimated, ground_truth)
     paths = write_evaluation(_out_dir(args), errors)
     _print_errors(errors)
@@ -228,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic street dataset")
     _add_common(p, config=False, seed=True)
-    p.add_argument("--scan-count", type=int, default=20)
-    p.add_argument("--car-count", type=int, default=8)
-    p.add_argument("--points-per-scan", type=int, default=8000)
-    p.add_argument("--noise-sigma", type=float, default=0.02)
-    p.add_argument("--street-length", type=float, default=40.0)
-    p.add_argument("--surface-density", type=float, default=400.0)
+    p.add_argument("--scan-count", type=int, default=SceneSpec.scan_count)
+    p.add_argument("--car-count", type=int, default=SceneSpec.car_count)
+    p.add_argument("--points-per-scan", type=int, default=SceneSpec.points_per_scan)
+    p.add_argument("--noise-sigma", type=float, default=SceneSpec.noise_sigma)
+    p.add_argument("--street-length", type=float, default=SceneSpec.street_length)
+    p.add_argument("--surface-density", type=float, default=SceneSpec.surface_density)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("odometry", help="combine a scan directory into one cloud")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .transform import Trajectory
+from .transform import RigidTransform
 
 XY_BIN_WIDTH = 0.006  # default histogram bin width for planar error, meters
 Z_BIN_WIDTH = 0.005   # default histogram bin width for height error, meters
@@ -25,15 +25,17 @@ class ErrorHistogram:
     counts: np.ndarray  # (B,) int
 
 
-def evaluate_trajectory(estimated: Trajectory, reference: Trajectory) -> PoseErrors:
-    """Per-scan translation errors between two equally long trajectories."""
+def evaluate_trajectory(
+    estimated: list[RigidTransform], reference: list[RigidTransform]
+) -> PoseErrors:
+    """Per-scan translation errors between two equally long pose sequences."""
     if len(estimated) != len(reference):
         raise ValueError(
             f"trajectory lengths differ: {len(estimated)} vs {len(reference)}"
         )
     if len(estimated) == 0:
         raise ValueError("trajectories are empty")
-    delta = estimated.translations() - reference.translations()
+    delta = np.array([e.translation - r.translation for e, r in zip(estimated, reference)])
     return PoseErrors(xy=np.hypot(delta[:, 0], delta[:, 1]), z=np.abs(delta[:, 2]))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DataError, ParseError
-from .transform import RigidTransform, Trajectory, orthonormalize_rotation, rotation_drift
+from .transform import ROTATION_TOL, RigidTransform, orthonormalize_rotation, rotation_drift
 
 _PLY_TYPES = {
     "char": "i1", "int8": "i1",
@@ -32,9 +32,7 @@ _PLY_TYPES = {
     "double": "f8", "float64": "f8",
 }
 
-# rotation checks used by read_poses
-_POSE_KEEP_TOL = 1e-9   # below: accept as stored
-_POSE_FIX_TOL = 1e-6    # below: re-orthonormalize; above: reject
+_POSE_FIX_TOL = 1e-6  # read_poses re-orthonormalizes drift above ROTATION_TOL up to this
 
 
 @dataclass
@@ -272,8 +270,8 @@ def write_ply(path: str | Path, cloud: PointCloud) -> None:
         fh.write(records.tobytes())
 
 
-def read_poses(path: str | Path) -> Trajectory:
-    """Read a trajectory of row-major 3x4 pose lines.
+def read_poses(path: str | Path) -> list[RigidTransform]:
+    """Read the poses of row-major 3x4 pose lines, in file order.
 
     Rotations with orthonormality drift in (1e-9, 1e-6] are re-orthonormalized;
     larger drift, or a determinant off +1 by more than 1e-6, is rejected.
@@ -298,16 +296,16 @@ def read_poses(path: str | Path) -> Trajectory:
         drift = rotation_drift(rotation)
         if drift > _POSE_FIX_TOL:
             raise DataError(f"line {lineno}: rotation drift {drift:.3g} exceeds 1e-6")
-        if drift > _POSE_KEEP_TOL:
+        if drift > ROTATION_TOL:
             rotation = orthonormalize_rotation(rotation)
         poses.append(RigidTransform(rotation, translation))
-    return Trajectory(poses)
+    return poses
 
 
-def write_poses(path: str | Path, trajectory: Trajectory) -> None:
+def write_poses(path: str | Path, poses: list[RigidTransform]) -> None:
     """Write pose lines with enough digits for exact float64 round-trips."""
     lines = []
-    for pose in trajectory:
+    for pose in poses:
         values = pose.matrix3x4().reshape(-1)
         lines.append(" ".join(format(v, ".17g") for v in values))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -25,7 +25,7 @@ from .config import PipelineConfig
 from .errors import DegenerateGeometryError, InsufficientOverlapError
 from .registration import ICP_MAX_ITERATIONS, icp_point_to_plane
 from .spatial import SpatialIndex
-from .transform import RigidTransform, Trajectory, orthonormalize_rotation
+from .transform import RigidTransform, orthonormalize_rotation
 from .voxel import VoxelGrid, downsample, voxelize
 
 # over voxel_size_fine: the local map's voxel size, and the fine stage's
@@ -123,7 +123,7 @@ def combine_scans(
     config: PipelineConfig,
     *,
     state: OdometryState | None = None,
-) -> tuple[PointCloud, Trajectory]:
+) -> tuple[PointCloud, list[RigidTransform]]:
     """Chain scans through odometry; returns the union of the transformed
     scans (in the first scan's frame) and the per-scan poses.
 
@@ -137,4 +137,4 @@ def combine_scans(
     for scan in scans:
         register_scan(state, scan, config)
     parts = [scan.transformed(pose) for scan, pose in zip(scans, state.poses)]
-    return concat_clouds(parts), Trajectory(list(state.poses))
+    return concat_clouds(parts), list(state.poses)

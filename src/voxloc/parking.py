@@ -31,11 +31,6 @@ class OccupancyState(Enum):
 
 
 @dataclass(frozen=True)
-class Cluster:
-    indices: np.ndarray  # sorted ascending
-
-
-@dataclass(frozen=True)
 class OrientedBox:
     centroid: np.ndarray  # (3,)
     dims: np.ndarray      # (length, width, height), length >= width > 0
@@ -56,13 +51,14 @@ def extract_class(cloud: PointCloud, class_id: int) -> PointCloud:
     return cloud.select(cloud.labels == class_id)
 
 
-def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> list[Cluster]:
-    """Connected components of the <=distance neighbor graph.
+def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> list[np.ndarray]:
+    """Connected components of the <=distance neighbor graph, each as the
+    sorted array of its point indices.
 
     Two points are neighbors when the sum of their squared coordinate
     differences is at most distance**2, boundary included. Components smaller
     than min_points are discarded. Clusters are ordered by their smallest
-    contained index; indices within a cluster are sorted.
+    contained index.
 
     The graph is built on cells, by the exact grid method for DBSCAN with
     minPts = 1 (Gan & Tao, "DBSCAN revisited", SIGMOD 2015). The points are
@@ -114,11 +110,8 @@ def euclidean_cluster(cloud: PointCloud, distance: float, min_points: int) -> li
     bounds = np.cumsum(sizes)
     groups = np.split(members, bounds[:-1])
     smallest = members[bounds - sizes]
-    return [
-        Cluster(groups[label])
-        for label in np.argsort(smallest, kind="stable")
-        if sizes[label] >= min_points
-    ]
+    order = np.argsort(smallest, kind="stable")
+    return [groups[label] for label in order if sizes[label] >= min_points]
 
 
 def _squared_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,7 +250,7 @@ def spaces_from_reference(
     spaces = []
     for number, cluster in enumerate(clusters):
         try:
-            box = fit_oriented_box(cars.points[cluster.indices])
+            box = fit_oriented_box(cars.points[cluster])
         except DegenerateGeometryError:
             if skipped is not None:
                 skipped.append(number)

@@ -9,9 +9,9 @@ It computes every stage, parking and scoring included, before it writes the
 artifacts and a manifest naming them; a failed write removes every file of the
 run. OUTPUT_FILES is the one table of artifact file names, here and in the CLI.
 
-Inputs are read only through load_input and load_scans, here and in the CLI,
-so one rule decides every exit code: a file that is missing, unreadable,
-malformed or inconsistent is a PipelineInputError (exit 2, status
+Inputs are read only through load_input, load_poses and load_scans, here and
+in the CLI, so one rule decides every exit code: a file that is missing,
+unreadable, malformed or inconsistent is a PipelineInputError (exit 2, status
 "input-error"); any other failure is a stage error (exit 1).
 """
 
@@ -48,7 +48,7 @@ from .registration import (
     ransac_coarse,
 )
 from .synthetic import SceneSpec, generate_synthetic_scene
-from .transform import RigidTransform, Trajectory
+from .transform import RigidTransform
 from .voxel import VoxelGrid, downsample, voxelize
 
 EXIT_OK = 0
@@ -101,8 +101,8 @@ class PipelineResult:
     exit_code: int
     message: str = ""
     artifacts: dict[str, Path] = field(default_factory=dict)
-    odometry_poses: Trajectory | None = None
-    refined_poses: Trajectory | None = None
+    odometry_poses: list[RigidTransform] | None = None
+    refined_poses: list[RigidTransform] | None = None
     coarse: RegistrationResult | None = None
     whole_cloud: RegistrationResult | None = None
     fine: list[RegistrationResult] = field(default_factory=list)
@@ -123,6 +123,15 @@ def load_input(reader, path: str | Path, what: str):
         return reader(path)
     except (OSError, UnicodeDecodeError, ParseError, DataError, ConfigError) as exc:
         raise PipelineInputError(f"{what} {path}: {exc}") from exc
+
+
+def load_poses(path: str | Path, what: str, count: int) -> list[RigidTransform]:
+    """The poses of a pose file, read by load_input; a file that does not hold
+    exactly count poses is a PipelineInputError that names it."""
+    poses = load_input(read_poses, path, what)
+    if len(poses) != count:
+        raise PipelineInputError(f"{what} {path} holds {len(poses)} poses, not {count}")
+    return poses
 
 
 def load_scans(scan_dir: str | Path) -> list[PointCloud]:
@@ -200,7 +209,7 @@ def coarse_align(
 
 def refine_scans(
     scans: list[PointCloud],
-    odometry_poses: Trajectory,
+    odometry_poses: list[RigidTransform],
     coarse_transform: RigidTransform,
     reference_fine: VoxelGrid,
     config: PipelineConfig,
@@ -243,6 +252,16 @@ def write_evaluation(out_dir: str | Path, errors: PoseErrors) -> dict[str, Path]
     return paths
 
 
+def _fit_record(result: RegistrationResult) -> dict:
+    """A registration's fit as the manifest records it."""
+    return {
+        "fitness": result.fitness,
+        "inlier_rmse": result.inlier_rmse,
+        "iterations": int(result.iterations),
+        "converged": bool(result.converged),
+    }
+
+
 def run_pipeline(run: PipelineRun) -> PipelineResult:
     """Execute the full localization pipeline and write its artifacts.
 
@@ -259,11 +278,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         scans = load_scans(run.scan_dir)
         ground_truth = None
         if run.gt_poses_path is not None:
-            ground_truth = load_input(read_poses, run.gt_poses_path, "ground-truth poses")
-            if len(ground_truth) != len(scans):
-                raise PipelineInputError(
-                    f"{len(ground_truth)} ground-truth poses for {len(scans)} scans"
-                )
+            ground_truth = load_poses(run.gt_poses_path, "ground-truth poses", len(scans))
     except PipelineInputError as exc:
         return PipelineResult("input-error", EXIT_INPUT_ERROR, str(exc))
 
@@ -282,7 +297,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         whole, fine_results = refine_scans(
             scans, odometry_poses, coarse.transform, reference_fine, config
         )
-        refined_poses = Trajectory([result.transform for result in fine_results])
+        refined_poses = [result.transform for result in fine_results]
 
         stage = "parking"
         spaces = None
@@ -306,12 +321,8 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         "seed": int(run.seed),
         "scan_count": len(scans),
         "rejected_scans": [int(i) for i in odometry_state.rejected],
-        "whole_cloud": {
-            "fitness": whole.fitness,
-            "inlier_rmse": whole.inlier_rmse,
-            "iterations": int(whole.iterations),
-            "converged": bool(whole.converged),
-        },
+        "coarse": _fit_record(coarse),
+        "whole_cloud": _fit_record(whole),
         "skipped_car_clusters": len(skipped_clusters),
         "status": "ok",
         "outputs": {name: path.name for name, path in artifacts.items() if name != "manifest"},
@@ -320,7 +331,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_poses(artifacts["refined_poses"], refined_poses)
         write_poses(artifacts["odometry_poses"], odometry_poses)
-        write_poses(artifacts["coarse_transform"], Trajectory([coarse.transform]))
+        write_poses(artifacts["coarse_transform"], [coarse.transform])
         write_ply(artifacts["combined_cloud"], combined)
         if spaces is not None:
             save_spaces(artifacts["spaces"], spaces)

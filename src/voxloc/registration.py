@@ -123,10 +123,10 @@ def ransac_coarse(
     samples whose pairwise edges disagree with the matched target edges by
     more than 10%, and estimates the rigid motion. Hypotheses rank by their
     inlier share w: the share of kept matches mapped within threshold of their
-    targets. Only a hypothesis that raises w is scored against the full source
-    cloud, for the fitness and RMSE the result reports. The search stops once
-    1 - (1 - w^3)^k reaches RANSAC_CONFIDENCE after k iterations, and
-    unconverged after RANSAC_MAX_ITERATIONS.
+    targets. The search stops once 1 - (1 - w^3)^k reaches RANSAC_CONFIDENCE
+    after k iterations, and unconverged after RANSAC_MAX_ITERATIONS. Only then
+    is the best hypothesis scored against the full source cloud, for the
+    fitness and RMSE the result reports.
 
     Raises DataError when fewer than 3 mutual matches remain or no hypothesis
     maps a kept match within the threshold.
@@ -143,10 +143,9 @@ def ransac_coarse(
         raise DataError(f"only {len(kept)} mutual descriptor matches")
     src = source.points[kept]
     tgt = target.points[matches[kept]]
-    target_index = SpatialIndex(target.points)
     rng = np.random.default_rng(seed)
 
-    best: RegistrationResult | None = None
+    best: RigidTransform | None = None
     best_inliers = 0
     iteration = 0
     converged = False
@@ -174,8 +173,7 @@ def ransac_coarse(
             inliers = int((residual <= threshold).sum())
             if inliers > best_inliers:
                 best_inliers = inliers
-                fitness, rmse = evaluate_alignment(source, target_index, candidate, threshold)
-                best = RegistrationResult(candidate, fitness, rmse, iteration, False)
+                best = candidate
 
         if best is not None:
             confidence = 1.0 - (1.0 - (best_inliers / len(src)) ** 3) ** iteration
@@ -188,7 +186,8 @@ def ransac_coarse(
             f"no RANSAC hypothesis maps a mutual match within {threshold:.3g} m "
             f"in {iteration} iterations"
         )
-    return RegistrationResult(best.transform, best.fitness, best.inlier_rmse, iteration, converged)
+    fitness, rmse = evaluate_alignment(source, SpatialIndex(target.points), best, threshold)
+    return RegistrationResult(best, fitness, rmse, iteration, converged)
 
 
 def _solve_normal_equations(n: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cloud import PointCloud
-from .transform import RigidTransform, Trajectory
+from .transform import RigidTransform
 
 LABEL_GROUND = 0
 LABEL_CAR = 1
@@ -413,7 +413,7 @@ def build_street(rng, spec: SceneSpec) -> Street:
     return Street(PointCloud(points, colors, labels), weld, bend)
 
 
-def trajectory(spec: SceneSpec, street: Street) -> Trajectory:
+def trajectory(spec: SceneSpec, street: Street) -> list[RigidTransform]:
     """Ground-truth sensor poses, stepped by arclength along the bent
     centerline with a mild wobble; draws no random numbers."""
     length_a = street.weld.translation[0]
@@ -429,11 +429,11 @@ def trajectory(spec: SceneSpec, street: Street) -> Trajectory:
             base_xy = street.weld.apply(np.array([arc - length_a, wobble_y, 0.0]))[:2]
             heading = street.bend + wobble_yaw
         poses.append(RigidTransform(_yaw_matrix(heading), np.append(base_xy, SENSOR_HEIGHT)))
-    return Trajectory(poses)
+    return poses
 
 
 def sample_scans(rng, spec: SceneSpec, reference: PointCloud,
-                 poses: Trajectory) -> list[PointCloud]:
+                 poses: list[RigidTransform]) -> list[PointCloud]:
     """One scan per pose, in its sensor frame: up to points_per_scan
     reference points within sensor_range, drawn without replacement, plus
     Gaussian noise of noise_sigma."""

@@ -1,8 +1,8 @@
-"""Proper rigid motions and pose sequences."""
+"""Proper rigid motions; a pose sequence is a list[RigidTransform] in scan order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,24 +87,3 @@ class RigidTransform:
         if p.ndim == 1:
             return self.rotation @ p + self.translation
         return p @ self.rotation.T + self.translation
-
-
-@dataclass
-class Trajectory:
-    """Poses ordered by scan index."""
-
-    poses: list[RigidTransform] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.poses)
-
-    def __getitem__(self, index):
-        return self.poses[index]
-
-    def __iter__(self):
-        return iter(self.poses)
-
-    def translations(self) -> np.ndarray:
-        if not self.poses:
-            return np.empty((0, 3))
-        return np.vstack([p.translation for p in self.poses])

@@ -9,13 +9,12 @@ from voxloc.evaluation import (
     write_errors_csv,
     write_histogram_csv,
 )
-from voxloc.transform import RigidTransform, Trajectory
+from voxloc.io import read_poses, write_poses
+from voxloc.transform import RigidTransform
 
 
 def _trajectory(translations):
-    return Trajectory([
-        RigidTransform(np.eye(3), np.asarray(t, float)) for t in translations
-    ])
+    return [RigidTransform(np.eye(3), np.asarray(t, float)) for t in translations]
 
 
 class TestEvaluateTrajectory:
@@ -28,7 +27,7 @@ class TestEvaluateTrajectory:
     def test_uniform_offset_decomposes_into_xy_and_z(self):
         reference = _trajectory([[0, 0, 0], [1, 2, 3], [4, 5, 6]])
         offset = np.array([0.03, 0.04, 0.01])
-        estimated = _trajectory([t + offset for t in reference.translations()])
+        estimated = _trajectory([p.translation + offset for p in reference])
         errors = evaluate_trajectory(estimated, reference)
         np.testing.assert_allclose(errors.xy, 0.05, atol=1e-15)
         np.testing.assert_allclose(errors.z, 0.01, atol=1e-15)
@@ -59,9 +58,20 @@ class TestEvaluateTrajectory:
             evaluate_trajectory(_trajectory(np.zeros((3, 3))),
                                 _trajectory(np.zeros((4, 3))))
 
+    def test_slices_of_read_poses_score_their_rows(self, rng, tmp_path):
+        estimated = _trajectory(rng.normal(size=(5, 3)))
+        reference = _trajectory(rng.normal(size=(5, 3)))
+        write_poses(tmp_path / "est.txt", estimated)
+        write_poses(tmp_path / "ref.txt", reference)
+        whole = evaluate_trajectory(estimated, reference)
+        part = evaluate_trajectory(read_poses(tmp_path / "est.txt")[1:4],
+                                   read_poses(tmp_path / "ref.txt")[1:4])
+        assert np.array_equal(part.xy, whole.xy[1:4])
+        assert np.array_equal(part.z, whole.z[1:4])
+
     def test_empty_trajectories_raise(self):
         with pytest.raises(ValueError):
-            evaluate_trajectory(Trajectory([]), Trajectory([]))
+            evaluate_trajectory([], [])
 
 
 class TestErrorHistogram:

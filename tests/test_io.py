@@ -10,7 +10,7 @@ from voxloc.cloud import PointCloud
 from voxloc.config import PipelineConfig, load_config, parse_config
 from voxloc.errors import ConfigError, DataError, ParseError
 from voxloc.io import read_ply, read_poses, write_ply, write_poses
-from voxloc.transform import RigidTransform, Trajectory, rotation_exp
+from voxloc.transform import RigidTransform, rotation_exp
 
 
 def _random_rotation(rng):
@@ -260,7 +260,7 @@ def test_pose_roundtrip_tight(tmp_path, rng):
         for _ in range(20)
     ]
     path = tmp_path / "poses.txt"
-    write_poses(path, Trajectory(poses))
+    write_poses(path, poses)
     back = read_poses(path)
     assert len(back) == 20
     for a, b in zip(poses, back):
@@ -305,14 +305,14 @@ def test_badly_drifted_rotation_rejected(tmp_path):
 
 def test_empty_trajectory_writes_empty_file(tmp_path):
     path = tmp_path / "none.txt"
-    write_poses(path, Trajectory([]))
+    write_poses(path, [])
     assert path.read_text() == ""
 
 
 def test_pose_precision_at_least_17_digits(tmp_path):
     t = np.array([1.0 / 3.0, 0.1, -2.0 / 7.0])
     path = tmp_path / "prec.txt"
-    write_poses(path, Trajectory([RigidTransform(np.eye(3), t)]))
+    write_poses(path, [RigidTransform(np.eye(3), t)])
     tokens = path.read_text().split()
     assert float(tokens[3]) == t[0]
     assert float(tokens[7]) == t[1]

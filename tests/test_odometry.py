@@ -200,23 +200,23 @@ class TestRegisterScan:
 class TestCombineScans:
     def test_single_scan_returns_itself_with_identity(self, street_scene, config):
         _, scans, _ = street_scene
-        combined, trajectory = combine_scans([scans[0]], config)
+        combined, poses = combine_scans([scans[0]], config)
         assert np.array_equal(combined.points, scans[0].points)
-        assert len(trajectory.poses) == 1
-        assert np.array_equal(_matrix(trajectory.poses[0]), np.eye(4))
+        assert len(poses) == 1
+        assert np.array_equal(_matrix(poses[0]), np.eye(4))
 
     def test_static_pair_second_pose_is_identity(self, street_scene, config):
         _, scans, _ = street_scene
-        _, trajectory = combine_scans([scans[0], scans[0]], config)
-        second = trajectory.poses[1]
+        _, poses = combine_scans([scans[0], scans[0]], config)
+        second = poses[1]
         assert np.linalg.norm(second.translation) < 1e-6
         assert Rotation.from_matrix(second.rotation).magnitude() < 1e-6
 
     def test_point_counts_are_conserved(self, street_scene, config):
         _, scans, _ = street_scene
-        combined, trajectory = combine_scans(scans[:3], config)
+        combined, poses = combine_scans(scans[:3], config)
         assert len(combined) == sum(len(s) for s in scans[:3])
-        assert len(trajectory.poses) == 3
+        assert len(poses) == 3
 
     def test_no_scans_is_an_error(self, config):
         with pytest.raises(ValueError):
@@ -225,8 +225,8 @@ class TestCombineScans:
     def test_supplied_state_exposes_poses_and_map(self, street_scene, config):
         _, scans, _ = street_scene
         state = OdometryState()
-        _, trajectory = combine_scans(scans[:2], config, state=state)
-        assert state.poses == trajectory.poses
+        _, poses = combine_scans(scans[:2], config, state=state)
+        assert state.poses == poses
         assert len(state.local_map) > 0
 
     def test_supplied_state_gets_the_configured_map_size(self, street_scene):
@@ -238,7 +238,7 @@ class TestCombineScans:
         _, supplied = combine_scans(scans[:3], config, state=state)
         _, default = combine_scans(scans[:3], config)
         assert state.local_map.voxel_size == pytest.approx(1.0)
-        for a, b in zip(supplied.poses, default.poses):
+        for a, b in zip(supplied, default):
             assert np.array_equal(_matrix(a), _matrix(b))
 
     def test_corridor_tracks_ground_truth(self, config):
@@ -247,9 +247,9 @@ class TestCombineScans:
         # reports motion relative to the first scan
         _, scans, truth = generate_synthetic_scene(21, SceneSpec(noise_sigma=0.01))
         _, estimated = combine_scans(scans, config)
-        anchor = truth.poses[0]
-        est = np.array([(anchor @ p).translation for p in estimated.poses])
-        ref = np.array([p.translation for p in truth.poses])
+        anchor = truth[0]
+        est = np.array([(anchor @ p).translation for p in estimated])
+        ref = np.array([p.translation for p in truth])
         errors = np.linalg.norm(est - ref, axis=1)
         path = np.linalg.norm(np.diff(ref, axis=0), axis=1).sum()
         assert errors.max() < 0.05

@@ -145,7 +145,7 @@ class TestEuclideanCluster:
         cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
         clusters = euclidean_cluster(cloud, 0.5, 1)
         assert len(clusters) == 1
-        assert clusters[0].indices.tolist() == [0]
+        assert clusters[0].tolist() == [0]
 
     def test_well_separated_blobs_stay_apart(self, rng):
         cloud = PointCloud(np.vstack([
@@ -154,13 +154,13 @@ class TestEuclideanCluster:
         ]))
         clusters = euclidean_cluster(cloud, 1.0, 5)
         assert len(clusters) == 2
-        assert clusters[0].indices.max() < 40 <= clusters[1].indices.min()
+        assert clusters[0].max() < 40 <= clusters[1].min()
 
     def test_matches_union_find_oracle(self, rng):
         points = rng.uniform(0.0, 4.0, size=(120, 3))
         distance = 0.6
         clusters = euclidean_cluster(PointCloud(points), distance, 1)
-        got = {frozenset(c.indices.tolist()) for c in clusters}
+        got = {frozenset(c.tolist()) for c in clusters}
         assert got == _components_by_union_find(points, distance)
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -171,13 +171,13 @@ class TestEuclideanCluster:
         want = _clusters_by_bfs(points, distance, min_points)
         assert len(got) == len(want)
         for cluster, indices in zip(got, want):
-            assert cluster.indices.dtype == np.int64
-            assert np.array_equal(cluster.indices, indices)
+            assert cluster.dtype == np.int64
+            assert np.array_equal(cluster, indices)
 
     def test_boundary_is_inclusive(self):
         points = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.3, 0.3, 0.0]])
         clusters = euclidean_cluster(PointCloud(points), 0.3, 1)
-        assert [c.indices.tolist() for c in clusters] == [[0, 1, 2]]
+        assert [c.tolist() for c in clusters] == [[0, 1, 2]]
 
     @pytest.mark.parametrize("offset", [np.zeros(3), _UTM_OFFSET])
     def test_diagonal_just_beyond_distance_stays_apart(self, offset):
@@ -186,7 +186,7 @@ class TestEuclideanCluster:
         corner = distance / math.sqrt(3.0) * (1.0 + 1e-7)
         points = np.array([[0.0, 0.0, 0.0], [corner] * 3]) + offset
         clusters = euclidean_cluster(PointCloud(points), distance, 1)
-        assert [c.indices.tolist() for c in clusters] == [[0], [1]]
+        assert [c.tolist() for c in clusters] == [[0], [1]]
 
     @pytest.mark.parametrize("offset", [np.zeros(3), _UTM_OFFSET])
     def test_cells_two_apart_on_every_axis_join(self, offset):
@@ -202,15 +202,15 @@ class TestEuclideanCluster:
         assert np.array_equal(keys[2] - keys[1], [2, 2, 2])
         assert ((points[2] - points[1]) ** 2).sum() <= distance**2
         clusters = euclidean_cluster(PointCloud(points), distance, 1)
-        assert [c.indices.tolist() for c in clusters] == [[0], [1, 2]]
+        assert [c.tolist() for c in clusters] == [[0], [1, 2]]
 
     def test_clusters_ordered_by_smallest_index(self, rng):
         points = rng.uniform(0.0, 8.0, size=(150, 3))
         clusters = euclidean_cluster(PointCloud(points), 0.7, 1)
-        firsts = [int(c.indices[0]) for c in clusters]
+        firsts = [int(c[0]) for c in clusters]
         assert firsts == sorted(firsts)
         for cluster in clusters:
-            assert np.all(np.diff(cluster.indices) > 0)
+            assert np.all(np.diff(cluster) > 0)
 
     def test_min_points_filters_small_components(self, rng):
         cloud = PointCloud(np.vstack([
@@ -219,7 +219,7 @@ class TestEuclideanCluster:
         ]))
         clusters = euclidean_cluster(cloud, 1.0, 5)
         assert len(clusters) == 1
-        assert len(clusters[0].indices) == 30
+        assert len(clusters[0]) == 30
 
     def test_empty_cloud_gives_no_clusters(self):
         assert euclidean_cluster(PointCloud(np.empty((0, 3))), 1.0, 1) == []

@@ -34,7 +34,7 @@ from voxloc.pipeline import (
 )
 from voxloc.synthetic import SceneSpec, generate_synthetic_scene
 from voxloc.registration import ICP_MAX_ITERATIONS, planar_cells
-from voxloc.transform import RigidTransform, Trajectory, rotation_exp
+from voxloc.transform import RigidTransform, rotation_exp
 from voxloc.voxel import VoxelGrid, downsample, voxelize
 
 _SMALL_SPEC = SceneSpec(
@@ -127,7 +127,7 @@ def _move_inputs(paths, offset, out_dir):
     moved = PointCloud(reference.points + offset, reference.colors, reference.labels)
     write_ply(out_dir / "reference.ply", moved)
     shift = RigidTransform(np.eye(3), offset)
-    truth = Trajectory([shift @ pose for pose in read_poses(paths["gt_poses"])])
+    truth = [shift @ pose for pose in read_poses(paths["gt_poses"])]
     write_poses(out_dir / "gt_poses.txt", truth)
     return out_dir / "reference.ply", out_dir / "gt_poses.txt"
 
@@ -314,13 +314,16 @@ class TestRunPipeline:
         assert manifest["config_hash"] == config_hash(PipelineConfig())
         assert manifest["rejected_scans"] == []
         assert manifest["skipped_car_clusters"] == 0
+        for key, fit in (("coarse", completed_run.coarse), ("whole_cloud", completed_run.whole_cloud)):
+            assert manifest[key] == {
+                "fitness": fit.fitness,
+                "inlier_rmse": fit.inlier_rmse,
+                "iterations": fit.iterations,
+                "converged": fit.converged,
+            }
+        assert manifest["coarse"]["converged"]
+        assert manifest["coarse"]["iterations"] > 0
         whole = completed_run.whole_cloud
-        assert manifest["whole_cloud"] == {
-            "fitness": whole.fitness,
-            "inlier_rmse": whole.inlier_rmse,
-            "iterations": whole.iterations,
-            "converged": whole.converged,
-        }
         assert whole.converged
         assert whole.fitness > 0.9
         out_dir = completed_run.artifacts["manifest"].parent
@@ -675,7 +678,7 @@ def test_localization_is_scale_equivariant(small_scene, tmp_path):
             write_ply(data / "scans" / f"scan_{index:04d}.ply",
                       PointCloud(scan.points * s, scan.colors, scan.labels))
         write_poses(data / "gt_poses.txt",
-                    Trajectory([RigidTransform(p.rotation, p.translation * s) for p in truth]))
+                    [RigidTransform(p.rotation, p.translation * s) for p in truth])
         config = replace(base, voxel_size_fine=base.voxel_size_fine * s,
                          voxel_size_coarse=base.voxel_size_coarse * s,
                          cluster_distance=base.cluster_distance * s)
@@ -788,6 +791,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "input-error" in err
         assert str(empty) in err
+
+    @pytest.mark.parametrize("command, offending", [
+        (["fine", "--odom-poses", "short", "--coarse-transform", "one"], "short"),
+        (["fine", "--odom-poses", "truth", "--coarse-transform", "two"], "two"),
+        (["eval", "--est", "truth", "--gt-poses", "short"], "short"),
+    ], ids=["fine-odometry", "fine-coarse", "eval"])
+    def test_pose_count_mismatch_exits_two(self, dataset, tmp_path, capsys, command, offending):
+        # short: one pose fewer than there are scans; one and two: a coarse
+        # transform file of one and of two poses
+        truth = read_poses(dataset["gt_poses"])
+        files = {"truth": truth, "short": truth[:-1], "one": truth[:1], "two": truth[:2]}
+        for name, poses in files.items():
+            write_poses(tmp_path / f"{name}.txt", poses)
+        argv = [str(tmp_path / f"{arg}.txt") if arg in files else arg for arg in command]
+        if command[0] == "fine":
+            argv += ["--reference", str(dataset["reference"]), "--scans", str(dataset["scans"])]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "input-error" in err
+        assert str(tmp_path / f"{offending}.txt") in err
 
     def test_export_scene_embeds_spaces(self, dataset, tmp_path):
         park = tmp_path / "park"

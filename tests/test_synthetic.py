@@ -66,7 +66,7 @@ class TestDeterminism:
         assert np.array_equal(first[0].colors, second[0].colors)
         for a, b in zip(first[1], second[1]):
             assert np.array_equal(a.points, b.points)
-        for p, q in zip(first[2].poses, second[2].poses):
+        for p, q in zip(first[2], second[2]):
             assert np.array_equal(p.rotation, q.rotation)
             assert np.array_equal(p.translation, q.translation)
 
@@ -81,7 +81,7 @@ class TestSelfConsistency:
         ref, scans, truth = generate_synthetic_scene(
             9, _light_spec(noise_sigma=0.0, car_count=0))
         tree = cKDTree(ref.points)
-        for scan, pose in zip(scans, truth.poses):
+        for scan, pose in zip(scans, truth):
             distances, _ = tree.query(pose.apply(scan.points))
             assert distances.max() < 1e-9
 
@@ -89,7 +89,7 @@ class TestSelfConsistency:
         spec = _light_spec()
         ref, scans, truth = generate_synthetic_scene(4, spec)
         assert len(scans) == spec.scan_count
-        assert len(truth.poses) == spec.scan_count
+        assert len(truth) == spec.scan_count
         assert all(len(s) == spec.points_per_scan for s in scans)
 
     def test_reference_carries_all_surface_classes(self):

@@ -1,4 +1,4 @@
-"""Rigid motions: exponential map, validation, composition, trajectories."""
+"""Rigid motions: exponential map, validation, composition."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from scipy.spatial.transform import Rotation
 
 from voxloc.transform import (
     RigidTransform,
-    Trajectory,
     orthonormalize_rotation,
     rotation_drift,
     rotation_exp,
@@ -133,21 +132,3 @@ class TestRigidTransform:
         again = RigidTransform(m[:, :3], m[:, 3])
         assert np.array_equal(again.rotation, t.rotation)
         assert np.array_equal(again.translation, t.translation)
-
-
-class TestTrajectory:
-    def test_sequence_protocol(self, rng):
-        poses = [RigidTransform(np.eye(3), rng.normal(size=3)) for _ in range(4)]
-        traj = Trajectory(list(poses))
-        assert len(traj) == 4
-        assert traj[2] is poses[2]
-        assert list(iter(traj)) == poses
-
-    def test_translations_stack_in_pose_order(self):
-        traj = Trajectory([RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0])),
-                           RigidTransform(np.eye(3), np.array([4.0, 5.0, 6.0]))])
-        np.testing.assert_array_equal(traj.translations(),
-                                      [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-
-    def test_empty_translations_shape(self):
-        assert Trajectory([]).translations().shape == (0, 3)
