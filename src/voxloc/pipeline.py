@@ -163,8 +163,8 @@ def export_scene(grid: VoxelGrid, spaces: list[ParkingSpace], path: str | Path) 
     boxes = [space_record(space) for space in spaces]
     document = {"voxel_size": float(size), "voxels": voxels, "boxes": boxes}
     with open(path, "w", encoding="ascii") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
+        # dumps runs the C encoder; dump streams through the Python one
+        handle.write(json.dumps(document, sort_keys=True) + "\n")
 
 
 def two_level_grids(cloud: PointCloud, config: PipelineConfig) -> tuple[VoxelGrid, VoxelGrid]:

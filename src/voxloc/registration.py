@@ -28,6 +28,9 @@ CONVERGENCE_EPS = 1e-4
 ICP_MAX_ITERATIONS = 50        # per-scan and odometry ICP iteration cap
 RANSAC_MAX_ITERATIONS = 100_000
 RANSAC_CONFIDENCE = 0.999      # stop once 1 - (1 - w^3)^k reaches this
+# rounding guard of the correspondence-reuse margin, per metre of coordinate
+# magnitude: far above the float error of a distance, far below any cell gap
+REUSE_SLACK = 1e-12
 
 
 def planar_cells(grid: VoxelGrid) -> tuple[SpatialIndex, np.ndarray]:
@@ -206,6 +209,34 @@ def _solve_normal_equations(n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return vk @ ((vk.T @ g) / w[keep])
 
 
+class _CellMatches:
+    """The correspondence state icp_point_to_plane carries between passes:
+    per source point, its anchor (where it was last queried), the index of
+    its nearest cell mean within max_distance (-1 for none) and the margin
+    gap = min(d2, max_distance) - d1 - slack, with slack REUSE_SLACK times
+    the coordinate magnitude."""
+
+    __slots__ = ("index", "max_distance", "idx", "anchor", "gap")
+
+    def __init__(self, index: SpatialIndex, max_distance: float, count: int):
+        self.index = index
+        self.max_distance = max_distance
+        self.idx = np.full(count, -1, np.int64)
+        self.anchor = np.zeros((count, 3))
+        self.gap = np.full(count, -np.inf)
+
+    def update(self, moved: np.ndarray) -> np.ndarray:
+        stale = ~(2.0 * np.linalg.norm(moved - self.anchor, axis=1) < self.gap)
+        if stale.any():
+            points = moved[stale]
+            idx, d1, d2 = self.index.nearest(points, self.max_distance, runner_up=True)
+            slack = REUSE_SLACK * (1.0 + float(np.abs(points).max()))
+            self.idx[stale] = idx
+            self.anchor[stale] = points
+            self.gap[stale] = np.minimum(d2, self.max_distance) - d1 - slack
+        return self.idx
+
+
 def icp_point_to_plane(
     source: PointCloud,
     index: SpatialIndex,
@@ -221,26 +252,39 @@ def icp_point_to_plane(
     normal equations.
 
     Correspondences run from transformed source points to the nearest cell
-    mean within max_distance; each iteration minimizes the sum of squared
-    point-to-plane residuals r through the small-angle linearization about the
-    centroid of its correspondences, so georeferenced coordinates far from the
-    origin neither lengthen the rotation's lever arm nor tie rotation to
-    translation, and composes the increment on the left. With a kernel k, each
-    residual is weighted by the Geman-McClure weight k^2 / (k + r^2)^2, as in
-    KISS-ICP (Vizzo et al., RA-L 2023). The loop stops, converged, once the
-    norm of an increment falls below CONVERGENCE_EPS, and unconverged after
+    mean within max_distance. After the first pass an ICP step moves points
+    by millimetres and means are centimetres apart, so most correspondences
+    are kept rather than queried again. Say a point was last queried at its
+    anchor, where its nearest mean was d1 away and every other mean at least
+    g = min(d2, max_distance), d2 being the runner-up distance. Once it has
+    moved s from the anchor, the kept mean is at most d1 + s away and every
+    other at least g - s (triangle inequality), so while 2 s < g - d1 the
+    kept mean is still the strictly nearest and within max_distance, and the
+    point keeps its index. Every other point, unmatched ones included, is
+    queried again (_CellMatches). The correspondences, and so every result,
+    are those of querying every point on every pass.
+
+    Each iteration minimizes the sum of squared point-to-plane residuals r
+    through the small-angle linearization about the centroid of its
+    correspondences, so georeferenced coordinates far from the origin neither
+    lengthen the rotation's lever arm nor tie rotation to translation, and
+    composes the increment on the left. With a kernel k, each residual is
+    weighted by the Geman-McClure weight k^2 / (k + r^2)^2, as in KISS-ICP
+    (Vizzo et al., RA-L 2023). The loop stops, converged, once the norm of an
+    increment falls below CONVERGENCE_EPS, and unconverged after
     max_iterations.
     """
     if len(source) == 0:
         raise ValueError("source cloud is empty")
     means = index.points
+    matches = _CellMatches(index, max_distance, len(source))
 
     transform = init
     converged = False
     # correspondences of the current transform; the last pass only scores it
     for iterations in range(max_iterations + 1):
         moved = transform.apply(source.points)
-        idx, _ = index.nearest(moved, max_distance=max_distance)
+        idx = matches.update(moved)
         found = idx >= 0
         p = moved[found]
         nrm = normals[idx[found]]

@@ -10,6 +10,7 @@ from voxloc.cloud import PointCloud
 from voxloc.errors import DataError, DegenerateGeometryError, InsufficientOverlapError
 from voxloc.pipeline import coarse_features, two_level_grids
 from voxloc.registration import (
+    _CellMatches,
     estimate_rigid,
     evaluate_alignment,
     icp_point_to_plane,
@@ -471,6 +472,26 @@ class TestIcpPointToPlane:
         assert abs(plain.transform.translation[2]) > 0.005
         assert abs(robust.transform.translation[2]) < 0.1 * abs(plain.transform.translation[2])
 
+    def test_converging_icp_queries_only_the_points_that_moved_far(self, rng, monkeypatch):
+        # the first pass queries every point; later passes only those whose
+        # nearest cell mean may have changed
+        source, target = self._aligned_setup(rng)
+        init = RigidTransform(
+            rotation_exp([0.0, 0.0, np.radians(2.0)]), np.array([0.15, -0.1, 0.05])
+        )
+        queried = []
+        nearest = SpatialIndex.nearest
+
+        def counting(index, points, *args, **kwargs):
+            queried.append(len(points))
+            return nearest(index, points, *args, **kwargs)
+
+        monkeypatch.setattr(SpatialIndex, "nearest", counting)
+        res = icp_point_to_plane(source, *target, init, _ICP_DISTANCE, _ICP_ITERATIONS)
+        assert res.converged
+        assert queried[0] == len(source)
+        assert sum(queried) < (res.iterations + 1) * len(source)
+
     def test_result_fields_well_formed(self, rng):
         source, target = self._aligned_setup(rng)
         res = icp_point_to_plane(
@@ -513,3 +534,37 @@ class TestNormalSign:
         assert (out.fitness, out.inlier_rmse, out.iterations, out.converged) == (
             base.fitness, base.inlier_rmse, base.iterations, base.converged
         )
+
+
+_OFFSETS = [np.zeros(3), np.array([5e5, 5e6, 300.0])]
+# a step is (scale, rotation vector, shift): millimetre steps keep most
+# correspondences, metre steps force most of them to be queried again
+_STEPS = st.tuples(
+    st.sampled_from([1e-3, 1.0]),
+    st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+
+
+class TestCellMatches:
+    @pytest.mark.parametrize("offset", _OFFSETS)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(steps=st.lists(_STEPS, min_size=1, max_size=8),
+           max_distance=st.sampled_from([0.1, 0.25, 0.5]))
+    def test_kept_or_requeried_indices_equal_a_fresh_query(
+        self, room_target, offset, steps, max_distance
+    ):
+        cloud, cells, _ = room_target
+        source, index = cloud.points + offset, SpatialIndex(cells.points + offset)
+        matches = _CellMatches(index, max_distance, len(source))
+        transform = RigidTransform.identity()
+        center = source.mean(axis=0)
+        # a zero step first: the pass that queries every point
+        for scale, rotation, shift in [(0.0, (0.0,) * 3, (0.0,) * 3)] + steps:
+            r = rotation_exp(scale * np.array(rotation))
+            step = RigidTransform(r, center - r @ center + scale * np.array(shift))
+            transform = step @ transform
+            moved = transform.apply(source)
+            np.testing.assert_array_equal(
+                matches.update(moved), index.nearest(moved, max_distance)[0]
+            )
